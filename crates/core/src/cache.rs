@@ -98,6 +98,12 @@ impl<K: Eq + Hash + Clone, V> ByteLru<K, V> {
         })
     }
 
+    /// Looks up `key` without touching recency (a batch's concurrent
+    /// lookups leave recency to its in-order commit).
+    pub fn peek(&self, key: &K) -> Option<&V> {
+        self.map.get(key).map(|slot| &slot.value)
+    }
+
     /// Marks `key` most-recently-used without returning it (used when
     /// a superset entry serves a containment probe).
     pub fn touch(&mut self, key: &K) {

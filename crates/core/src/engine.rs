@@ -58,15 +58,15 @@ use crate::baseline::{baseline_utk1, FilterKind};
 use crate::cache::ByteLru;
 use crate::error::UtkError;
 use crate::jaa::{jaa_parallel_refine, jaa_refine, records_of, JaaOptions, Utk2Cell, Utk2Result};
-use crate::obs::{self, Clock, MonotonicClock, Phase};
-use crate::parallel::ThreadPool;
+use crate::obs::{self, Clock, MonotonicClock, Phase, PhaseTimings};
+use crate::parallel::{TaskSet, ThreadPool};
 use crate::rdominance::ScreenKernel;
 use crate::rsa::{rsa_refine, RsaOptions, Utk1Result};
 use crate::scoring::GeneralScoring;
 use crate::skyband::{
     r_skyband_from_superset_with_kernel, r_skyband_repair_inserts_with_kernel,
-    r_skyband_repair_with_kernel, r_skyband_view_with_kernel, rejected_by_members, CandidateSet,
-    TreeView, TOMBSTONE,
+    r_skyband_repair_with_kernel, r_skyband_view_with_kernel, rejected_by_members, top_k_tree,
+    CandidateSet, TreeView, TOMBSTONE,
 };
 use crate::stats::Stats;
 use utk_geom::tol::INTERIOR_EPS;
@@ -561,6 +561,7 @@ pub struct UpdateReport {
 
 /// A validated region's interior, or the shortcut answer when it has
 /// none (see [`UtkEngine::interior_or_degenerate`]).
+#[derive(Clone)]
 enum RegionInterior {
     /// Full-dimensional region: max-slack interior point.
     Full { interior: Vec<f64>, slack: f64 },
@@ -568,9 +569,353 @@ enum RegionInterior {
     Degenerate { w: Vec<f64>, top_k: Vec<u32> },
 }
 
+/// A query's filter step: its candidate set plus the stats of
+/// obtaining it (see [`UtkEngine::candidates`]).
+type Filtered = (Arc<CandidateSet>, Stats);
+
+/// What a query's pipeline would compute first, settled ahead of the
+/// run by [`UtkEngine::run_many`]: the region's interior (or its
+/// degenerate shortcut) and, for a full region, the filter step.
+struct Prepared {
+    interior: RegionInterior,
+    filtered: Option<Filtered>,
+}
+
+/// How a batch leader's filter step was served, so the batch's
+/// in-order commit can replay its cache effects.
+enum FilterOrigin {
+    /// An exact cache hit.
+    Hit,
+    /// Computed cold or re-screened from a superset, for `region`;
+    /// `touch` is the key of the superset the re-screen read.
+    Miss {
+        region: Region,
+        touch: Option<FilterKey>,
+    },
+}
+
+/// A batch group's filter step as its nested groups and the commit
+/// see it: the candidate set, its key, and how it was served.
+struct StagedFilter {
+    key: FilterKey,
+    cands: Arc<CandidateSet>,
+    origin: FilterOrigin,
+}
+
+/// A batch group's shared pre-work: its leader's prepared interior and
+/// filter step, handed to every member that needs the same filter.
+struct GroupPrep {
+    leader: usize,
+    data: DataRef,
+    interior: RegionInterior,
+    filtered: Option<Filtered>,
+    timings: PhaseTimings,
+}
+
+impl GroupPrep {
+    /// The prepared run of batch query `slot`: the leader keeps its
+    /// own filter stats and timings; a member reports an exact hit,
+    /// its `filter_cache_bytes` set at the commit.
+    fn job_for(&self, slot: usize) -> Job {
+        let leader = slot == self.leader;
+        let filtered = self.filtered.as_ref().map(|(cands, stats)| {
+            let stats = if leader {
+                stats.clone()
+            } else {
+                hit_stats(cands, 0)
+            };
+            (Arc::clone(cands), stats)
+        });
+        let prepared = Prepared {
+            interior: self.interior.clone(),
+            filtered,
+        };
+        let timings = if leader {
+            self.timings
+        } else {
+            PhaseTimings::default()
+        };
+        (self.data.clone(), prepared, timings)
+    }
+}
+
+/// A batch query's prepared run: its dataset view, prepared steps and
+/// the timings of preparing them.
+type Job = (DataRef, Prepared, PhaseTimings);
+
+/// One [`UtkEngine::run_many`] call in flight: its groups, which
+/// leaders' regions nest in which, and the slots its tasks fill.
+struct Batch {
+    engine: UtkEngine,
+    queries: Vec<UtkQuery>,
+    groups: Vec<Vec<usize>>,
+    /// Each query's group.
+    group_of: Vec<usize>,
+    /// Each group's leader: its first query that shares the filter
+    /// step (see [`UtkEngine::shares_filter`]). With the filter cache
+    /// off there is nothing to share, and no group has one.
+    leaders: Vec<Option<usize>>,
+    /// Groups whose leader comes earlier in input order and whose
+    /// region contains this group's (same `k` and scoring): the
+    /// candidate sets its filter step may re-screen.
+    outer: Vec<Vec<usize>>,
+    /// The reverse edges: later groups nested in this one.
+    nested: Vec<Vec<usize>>,
+    /// Outer groups still to stage; a group starts at zero.
+    waiting: Vec<AtomicUsize>,
+    staged: Vec<Mutex<Option<StagedFilter>>>,
+    /// One pre-allocated slot per query keeps answers in input order
+    /// however the groups are scheduled.
+    results: Vec<Mutex<Option<Result<QueryResult, UtkError>>>>,
+}
+
+impl Batch {
+    fn new(engine: &UtkEngine, queries: &[UtkQuery], groups: Vec<Vec<usize>>, epoch: u64) -> Self {
+        let leaders: Vec<Option<usize>> = groups
+            .iter()
+            .map(|members| {
+                members
+                    .iter()
+                    .copied()
+                    .find(|&i| engine.shares_filter(&queries[i]))
+                    .filter(|_| engine.inner.cache_enabled)
+            })
+            .collect();
+        let led: Vec<(usize, usize, FilterKey)> = leaders
+            .iter()
+            .enumerate()
+            .filter_map(|(g, l)| l.map(|i| (g, i, FilterKey::of(&queries[i], epoch))))
+            .collect();
+        let mut outer = vec![Vec::new(); groups.len()];
+        let mut nested = vec![Vec::new(); groups.len()];
+        // Pairwise over the leaders, as a one-by-one run's superset
+        // probe scans every cached entry on each miss. Only a leader
+        // earlier in input order has filtered by the time a one-by-one
+        // run reaches this one.
+        for (g, i, key) in &led {
+            for (h, j, outer_key) in &led {
+                if j < i
+                    && outer_key.may_contain(key)
+                    && matches!(
+                        (&queries[*j].region, &queries[*i].region),
+                        (Some(a), Some(b)) if a.contains_region(b)
+                    )
+                {
+                    outer[*g].push(*h);
+                    nested[*h].push(*g);
+                }
+            }
+        }
+        let mut group_of = vec![0; queries.len()];
+        for (g, members) in groups.iter().enumerate() {
+            for &i in members {
+                group_of[i] = g;
+            }
+        }
+        Batch {
+            engine: engine.clone(),
+            queries: queries.to_vec(),
+            group_of,
+            waiting: outer.iter().map(|o| AtomicUsize::new(o.len())).collect(),
+            staged: groups.iter().map(|_| Mutex::new(None)).collect(),
+            results: queries.iter().map(|_| Mutex::new(None)).collect(),
+            groups,
+            leaders,
+            outer,
+            nested,
+        }
+    }
+
+    /// Runs group `g` once its outer groups have staged: stages the
+    /// leader's filter step, starts the groups nested in it, then
+    /// answers the other members on the pool and the leader here.
+    fn run_group(self: &Arc<Self>, tasks: &TaskSet, g: usize) {
+        let leader = self.leaders[g];
+        let prep = leader.and_then(|leader| self.stage(g, leader));
+        for &n in &self.nested[g] {
+            if self.waiting[n].fetch_sub(1, Ordering::AcqRel) == 1 {
+                let batch = Arc::clone(self);
+                let nested_tasks = tasks.clone();
+                tasks.spawn(move || batch.run_group(&nested_tasks, n));
+            }
+        }
+        // The leader, or else the first query, answers here.
+        let here = leader.unwrap_or(self.groups[g][0]);
+        for &slot in self.groups[g].iter().filter(|&&i| i != here) {
+            let job = prep
+                .as_ref()
+                .filter(|_| self.engine.shares_filter(&self.queries[slot]))
+                .map(|p| p.job_for(slot));
+            let batch = Arc::clone(self);
+            tasks.spawn(move || batch.answer(slot, job));
+        }
+        self.answer(here, prep.map(|p| p.job_for(here)));
+    }
+
+    /// Group `g`'s leader's interior and filter step, read against the
+    /// filter cache without changing it: an exact hit, else a
+    /// re-screen of the smallest containing candidate set — cached, or
+    /// an outer group's — else a cold BBS. Files the filter step for
+    /// the nested groups and the commit, and returns what the group's
+    /// queries share; `None` when the leader fails before its filter
+    /// step.
+    fn stage(&self, g: usize, leader: usize) -> Option<GroupPrep> {
+        let engine = &self.engine;
+        let query = &self.queries[leader];
+        let region = engine.checked_region(query).ok()?;
+        let data = engine.data_for(query.scoring.as_ref()).ok()?;
+        let key = FilterKey::of(query, data.epoch());
+        let (staged, timings) = obs::trace(&engine.inner.clock, || {
+            let interior = engine.interior_or_degenerate(&data, region, query.k).ok()?;
+            if matches!(interior, RegionInterior::Degenerate { .. }) {
+                return Some((interior, None));
+            }
+            let cached = {
+                let cache = engine.inner.filter_cache.lock().expect("cache lock");
+                if let Some(hit) = cache.peek(&key) {
+                    let cands = Arc::clone(&hit.cands);
+                    let stats = hit_stats(&cands, 0);
+                    return Some((interior, Some((cands, stats, FilterOrigin::Hit))));
+                }
+                cached_superset(&cache, &key, region)
+            };
+            // The choice `candidates` makes, over the cache and the
+            // outer groups, which have all staged by now.
+            let outer = self.outer[g].iter().filter_map(|&h| {
+                let staged = self.staged[h].lock().expect("batch stage slot");
+                let s = staged.as_ref().filter(|s| s.key.epoch == key.epoch)?;
+                Some((s.key.clone(), Arc::clone(&s.cands)))
+            });
+            let best = cached
+                .into_iter()
+                .chain(outer)
+                .min_by(|(a, a_cands), (b, b_cands)| {
+                    (a_cands.len(), &a.region).cmp(&(b_cands.len(), &b.region))
+                });
+            let superset = best.as_ref().map(|(_, sup)| &**sup);
+            let mut stats = Stats::new();
+            let cands = engine.filter_from(&data, region, query, superset, &mut stats);
+            let origin = FilterOrigin::Miss {
+                region: region.clone(),
+                touch: best.map(|(ck, _)| ck),
+            };
+            Some((interior, Some((cands, stats, origin))))
+        });
+        let (interior, filter) = staged?;
+        let filtered = filter.map(|(cands, stats, origin)| {
+            let kept = StagedFilter {
+                key,
+                cands: Arc::clone(&cands),
+                origin,
+            };
+            *self.staged[g].lock().expect("batch stage slot") = Some(kept);
+            (cands, stats)
+        });
+        Some(GroupPrep {
+            leader,
+            data,
+            interior,
+            filtered,
+            timings,
+        })
+    }
+
+    fn answer(&self, slot: usize, job: Option<Job>) {
+        let query = &self.queries[slot];
+        let result = match job {
+            Some((data, prepared, timings)) => {
+                self.engine.run_prepared(query, &data, prepared, &timings)
+            }
+            None => self.engine.run(query),
+        };
+        *self.results[slot].lock().expect("batch result slot") = Some(result);
+    }
+
+    /// After every task: replays the batch's cache effects in input
+    /// order, as the queries' own runs would have them one after
+    /// another — each leader's filter step written (or its hit
+    /// touched), each member's hit touched — and completes the stats
+    /// that depend on them: `filter_cache_bytes`, and a leader's
+    /// `evictions`.
+    fn commit(&self) {
+        let engine = &self.engine.inner;
+        let staged: Vec<Option<StagedFilter>> = self
+            .staged
+            .iter()
+            .map(|slot| slot.lock().expect("batch stage slot").take())
+            .collect();
+        for (slot, &g) in self.group_of.iter().enumerate() {
+            let Some(filter) = &staged[g] else { continue };
+            if !self.engine.shares_filter(&self.queries[slot]) {
+                continue;
+            }
+            let (evictions, bytes) = match &filter.origin {
+                FilterOrigin::Miss { region, touch } if Some(slot) == self.leaders[g] => {
+                    let key = filter.key.clone();
+                    self.engine
+                        .commit_filter(key, region, &filter.cands, touch.as_ref())
+                }
+                _ => {
+                    engine.filter_hits.fetch_add(1, Ordering::Relaxed);
+                    let mut cache = engine.filter_cache.lock().expect("cache lock");
+                    cache.touch(&filter.key);
+                    (0, cache.bytes_used())
+                }
+            };
+            let mut result = self.results[slot].lock().expect("batch result slot");
+            if let Some(Ok(result)) = result.as_mut() {
+                let stats = result.stats_mut();
+                stats.filter_cache_bytes = bytes;
+                stats.evictions = evictions;
+            }
+        }
+    }
+
+    fn take_results(&self) -> Vec<Result<QueryResult, UtkError>> {
+        self.results
+            .iter()
+            .map(|slot| {
+                slot.lock()
+                    .expect("batch result slot")
+                    .take()
+                    // utk-lint: allow(panic) -- invariant: wait() returns only after every task stored its slot
+                    .expect("every batch slot is filled before wait() returns")
+            })
+            .collect()
+    }
+}
+
+/// The smallest cached candidate set that may serve `key` (see
+/// [`FilterKey::may_contain`]) and whose region contains `region`,
+/// with its key.
+fn cached_superset(
+    cache: &ByteLru<FilterKey, FilterEntry>,
+    key: &FilterKey,
+    region: &Region,
+) -> Option<(FilterKey, Arc<CandidateSet>)> {
+    cache
+        .scan()
+        .filter(|(ck, entry)| ck.may_contain(key) && entry.region.contains_region(region))
+        // Smallest candidate set re-screens cheapest; the fingerprint
+        // tie-break keeps the choice deterministic under HashMap
+        // iteration order.
+        .min_by_key(|(ck, entry)| (entry.cands.len(), ck.region.clone()))
+        .map(|(ck, entry)| (ck.clone(), Arc::clone(&entry.cands)))
+}
+
+/// The filter stats of an exact cache hit on `cands`.
+fn hit_stats(cands: &CandidateSet, filter_cache_bytes: usize) -> Stats {
+    let mut stats = Stats::new();
+    stats.filter_cache_hits = 1;
+    stats.candidates = cands.len();
+    stats.filter_cache_bytes = filter_cache_bytes;
+    stats
+}
+
 /// Snapshot-or-transformed access to a query's dataset view. Either
 /// way the view is immutable and epoch-tagged: a query runs start to
 /// finish against one dataset version.
+#[derive(Clone)]
 enum DataRef {
     Snapshot(Arc<DatasetVersion>),
     Transformed(Arc<Scored>),
@@ -659,6 +1004,19 @@ impl FilterKey {
                 .map(region_fingerprint)
                 .unwrap_or_default(),
         }
+    }
+
+    /// Whether this entry's candidate set may serve `other` by
+    /// superset re-screen, region containment aside: same epoch, `k`
+    /// and scoring, and both under the pivot heap key — the re-screen
+    /// reproduces cold pop order from pivot scores, which the sum-key
+    /// ablation does not bound.
+    fn may_contain(&self, other: &FilterKey) -> bool {
+        self.epoch == other.epoch
+            && self.k == other.k
+            && self.pivot_order
+            && other.pivot_order
+            && self.scoring == other.scoring
     }
 }
 
@@ -1540,6 +1898,26 @@ impl UtkEngine {
         Ok(result)
     }
 
+    /// [`UtkEngine::run`] for a query whose interior and filter step
+    /// [`UtkEngine::run_many`] already settled on `data`;
+    /// `pre_timings` (the leader's share of that work) join the run's
+    /// own.
+    fn run_prepared(
+        &self,
+        query: &UtkQuery,
+        data: &DataRef,
+        prepared: Prepared,
+        pre_timings: &PhaseTimings,
+    ) -> Result<QueryResult, UtkError> {
+        let (result, mut timings) = obs::trace(&self.inner.clock, || {
+            self.answer(query, data, Some(prepared))
+        });
+        let mut result = result?;
+        timings.absorb(pre_timings);
+        result.stats_mut().timings = timings;
+        Ok(result)
+    }
+
     fn run_untraced(&self, query: &UtkQuery) -> Result<QueryResult, UtkError> {
         if query.k == 0 {
             return Err(UtkError::InvalidK { k: 0 });
@@ -1547,13 +1925,45 @@ impl UtkEngine {
         // One dataset view for the whole query: concurrent mutations
         // swap in new versions without tearing this run.
         let data = self.data_for(query.scoring.as_ref())?;
+        self.answer(query, &data, None)
+    }
+
+    /// Answers `query` on `data`; `prepared` holds the pipeline's
+    /// first steps when [`UtkEngine::run_many`] already took them.
+    fn answer(
+        &self,
+        query: &UtkQuery,
+        data: &DataRef,
+        prepared: Option<Prepared>,
+    ) -> Result<QueryResult, UtkError> {
         let mut result = match query.kind {
-            QueryKind::TopK => self.run_topk(query, &data).map(QueryResult::TopK),
-            QueryKind::Utk1 => self.run_utk1(query, &data).map(QueryResult::Utk1),
-            QueryKind::Utk2 => self.run_utk2(query, &data).map(QueryResult::Utk2),
+            QueryKind::TopK => self.run_topk(query, data).map(QueryResult::TopK),
+            QueryKind::Utk1 => self.run_utk1(query, data, prepared).map(QueryResult::Utk1),
+            QueryKind::Utk2 => self.run_utk2(query, data, prepared).map(QueryResult::Utk2),
         }?;
         result.stats_mut().dataset_epoch = data.epoch() as usize;
         Ok(result)
+    }
+
+    /// Whether `query` runs the RSA/JAA pipeline through the filter
+    /// cache with a valid `k` and a scoring of the engine's dimension
+    /// — the queries of a [`UtkEngine::run_many`] group that can share
+    /// one prepared filter step. Anything else runs on its own.
+    fn shares_filter(&self, query: &UtkQuery) -> bool {
+        let pipeline = match query.kind {
+            QueryKind::TopK => false,
+            QueryKind::Utk1 => !matches!(
+                query.algo.resolved_for(QueryKind::Utk1),
+                Algo::Sk | Algo::On
+            ),
+            QueryKind::Utk2 => matches!(query.algo, Algo::Auto | Algo::Jaa),
+        };
+        pipeline
+            && query.k != 0
+            && query
+                .scoring
+                .as_ref()
+                .is_none_or(|s| s.dim() == self.inner.dim)
     }
 
     /// Answers a batch of queries, returning per-query results **in
@@ -1566,6 +1976,21 @@ impl UtkEngine {
     /// and groups execute concurrently on the engine's worker pool.
     /// Each successful result's [`Stats::batch_group_count`] records
     /// how many groups the batch split into.
+    ///
+    /// The answer bytes, stats included, do not depend on scheduling,
+    /// and equal those of running the queries one by one. Each
+    /// group's leader (its first query that needs the filter) takes
+    /// its interior and filter step on the pool, reading the filter
+    /// cache as it stood when the batch began. A leader whose region
+    /// lies inside an earlier leader's starts once that one's filter
+    /// step is done, and may re-screen its candidate set. The leader
+    /// then hands its candidate set to its group's members as an
+    /// exact hit and refines. Once every query is answered, the
+    /// calling thread replays the cache effects in input order and
+    /// fills in the stats that depend on them (`filter_cache_bytes`,
+    /// `evictions`). (Only a batch that overflows the filter-cache
+    /// budget can re-screen a cached superset that a one-by-one run
+    /// would already have evicted.)
     pub fn run_many(&self, queries: &[UtkQuery]) -> Vec<Result<QueryResult, UtkError>> {
         // An empty batch is a legitimate request (a server `batch` op
         // with no parseable lines): answer it without building the
@@ -1575,13 +2000,12 @@ impl UtkEngine {
         }
         // Group by filter identity at the current epoch: same-group
         // queries reuse one memoized r-skyband and never race on the
-        // same cache miss. (Grouping is a scheduling heuristic only —
-        // if a mutation lands mid-batch, later group members' own
-        // epoch-keyed lookups miss and recompute on their snapshot,
-        // so a pre-mutation r-skyband is never served across the
-        // epoch boundary.) Top-k queries never touch the filter, so
-        // grouping them would only serialize independent work — they
-        // fan out one per slot.
+        // same cache miss. (If a mutation lands mid-batch, a leader
+        // prepares on its own snapshot and its members run on that
+        // same snapshot, so a pre-mutation r-skyband is never served
+        // against a newer version.) Top-k queries never touch the
+        // filter, so grouping them would only serialize independent
+        // work — they fan out one per slot.
         let epoch = self.current().epoch;
         let mut group_of: HashMap<FilterKey, usize> = HashMap::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -1599,52 +2023,20 @@ impl UtkEngine {
             }
         }
         let group_count = groups.len();
-
-        // One pre-allocated slot per query keeps answers in input
-        // order however the groups are scheduled.
-        type Slots = Vec<Mutex<Option<Result<QueryResult, UtkError>>>>;
         let mut out: Vec<Result<QueryResult, UtkError>> = if queries.len() <= 1 {
             // A batch of one needs no pool.
             queries.iter().map(|q| self.run(q)).collect()
         } else {
-            let slots: Arc<Slots> = Arc::new(queries.iter().map(|_| Mutex::new(None)).collect());
-            let set = self.pool().task_set();
-            for members in groups {
-                let engine = self.clone();
-                let batch: Vec<UtkQuery> = members.iter().map(|&i| queries[i].clone()).collect();
-                let slots = Arc::clone(&slots);
-                let nested = set.clone();
-                set.spawn(move || {
-                    // Warm-then-fan-out: the group's first query pays
-                    // the filter miss; the rest are independent
-                    // cache hits, so they go back to the pool instead
-                    // of serializing on this worker.
-                    let mut members = members.into_iter().zip(batch);
-                    if let Some((slot, query)) = members.next() {
-                        let result = engine.run(&query);
-                        *slots[slot].lock().expect("batch result slot") = Some(result);
-                    }
-                    for (slot, query) in members {
-                        let engine = engine.clone();
-                        let slots = Arc::clone(&slots);
-                        nested.spawn(move || {
-                            let result = engine.run(&query);
-                            *slots[slot].lock().expect("batch result slot") = Some(result);
-                        });
-                    }
-                });
+            let batch = Arc::new(Batch::new(self, queries, groups, epoch));
+            let tasks = self.pool().task_set();
+            for g in (0..group_count).filter(|&g| batch.outer[g].is_empty()) {
+                let batch = Arc::clone(&batch);
+                let group_tasks = tasks.clone();
+                tasks.spawn(move || batch.run_group(&group_tasks, g));
             }
-            set.wait();
-            slots
-                .iter()
-                .map(|slot| {
-                    slot.lock()
-                        .expect("batch result slot")
-                        .take()
-                        // utk-lint: allow(panic) -- invariant: wait() returns only after every task stored its slot
-                        .expect("every batch slot is filled before wait() returns")
-                })
-                .collect()
+            tasks.wait();
+            batch.commit();
+            batch.take_results()
         };
         for result in out.iter_mut().flatten() {
             result.stats_mut().batch_group_count = group_count;
@@ -1688,7 +2080,7 @@ impl UtkEngine {
             what: "weight vector",
         })?;
         let reduced = self.reduced_weights(weights)?;
-        let records = crate::topk::top_k_store(data.store(), reduced, query.k);
+        let (records, _) = top_k_tree(data.store(), &data.tree_view(), reduced, query.k);
         Ok(TopKResult {
             records,
             stats: Stats::new(),
@@ -1743,7 +2135,12 @@ impl UtkEngine {
         Ok(reduced)
     }
 
-    fn run_utk1(&self, query: &UtkQuery, data: &DataRef) -> Result<Utk1Result, UtkError> {
+    fn run_utk1(
+        &self,
+        query: &UtkQuery,
+        data: &DataRef,
+        prepared: Option<Prepared>,
+    ) -> Result<Utk1Result, UtkError> {
         let region = self.checked_region(query)?;
         match query.algo.resolved_for(QueryKind::Utk1) {
             algo @ (Algo::Sk | Algo::On) => {
@@ -1761,17 +2158,22 @@ impl UtkEngine {
                 ))
             }
             Algo::Jaa => {
-                let r = self.jaa_pipeline(data, region, query)?;
+                let r = self.jaa_pipeline(data, region, query, prepared)?;
                 Ok(Utk1Result {
                     records: r.records,
                     stats: r.stats,
                 })
             }
-            _ => self.rsa_pipeline(data, region, query),
+            _ => self.rsa_pipeline(data, region, query, prepared),
         }
     }
 
-    fn run_utk2(&self, query: &UtkQuery, data: &DataRef) -> Result<Utk2Result, UtkError> {
+    fn run_utk2(
+        &self,
+        query: &UtkQuery,
+        data: &DataRef,
+        prepared: Option<Prepared>,
+    ) -> Result<Utk2Result, UtkError> {
         match query.algo {
             Algo::Auto | Algo::Jaa => {}
             other => {
@@ -1782,7 +2184,7 @@ impl UtkEngine {
             }
         }
         let region = self.checked_region(query)?;
-        self.jaa_pipeline(data, region, query)
+        self.jaa_pipeline(data, region, query, prepared)
     }
 
     fn checked_region<'q>(&self, query: &'q UtkQuery) -> Result<&'q Region, UtkError> {
@@ -1808,7 +2210,7 @@ impl UtkEngine {
         };
         if slack <= INTERIOR_EPS {
             let w = region.pivot().ok_or(UtkError::EmptyRegion)?;
-            let mut top_k = crate::topk::top_k_store(data.store(), &w, k);
+            let (mut top_k, _) = top_k_tree(data.store(), &data.tree_view(), &w, k);
             top_k.sort_unstable();
             return Ok(RegionInterior::Degenerate { w, top_k });
         }
@@ -1827,9 +2229,14 @@ impl UtkEngine {
         data: &DataRef,
         region: &Region,
         query: &UtkQuery,
+        prepared: Option<Prepared>,
     ) -> Result<Utk1Result, UtkError> {
         let k = query.k;
-        let (interior, slack) = match self.interior_or_degenerate(data, region, k)? {
+        let (interior, filtered) = match prepared {
+            Some(p) => (p.interior, p.filtered),
+            None => (self.interior_or_degenerate(data, region, k)?, None),
+        };
+        let (interior, slack) = match interior {
             RegionInterior::Degenerate { top_k, .. } => {
                 return Ok(Utk1Result {
                     records: top_k,
@@ -1838,7 +2245,10 @@ impl UtkEngine {
             }
             RegionInterior::Full { interior, slack } => (interior, slack),
         };
-        let (cands, mut stats) = self.candidates(data, region, query)?;
+        let (cands, mut stats) = match filtered {
+            Some(filtered) => filtered,
+            None => self.candidates(data, region, query)?,
+        };
         let records = if cands.len() <= k {
             let mut records = cands.ids.clone();
             records.sort_unstable();
@@ -1876,9 +2286,14 @@ impl UtkEngine {
         data: &DataRef,
         region: &Region,
         query: &UtkQuery,
+        prepared: Option<Prepared>,
     ) -> Result<Utk2Result, UtkError> {
         let k = query.k;
-        let (interior, slack) = match self.interior_or_degenerate(data, region, k)? {
+        let (interior, filtered) = match prepared {
+            Some(p) => (p.interior, p.filtered),
+            None => (self.interior_or_degenerate(data, region, k)?, None),
+        };
+        let (interior, slack) = match interior {
             RegionInterior::Degenerate { w, top_k } => {
                 return Ok(Utk2Result {
                     records: top_k.clone(),
@@ -1892,7 +2307,10 @@ impl UtkEngine {
             }
             RegionInterior::Full { interior, slack } => (interior, slack),
         };
-        let (cands, mut stats) = self.candidates(data, region, query)?;
+        let (cands, mut stats) = match filtered {
+            Some(filtered) => filtered,
+            None => self.candidates(data, region, query)?,
+        };
         if cands.len() <= k {
             let mut top_k = cands.ids.clone();
             top_k.sort_unstable();
@@ -1959,21 +2377,11 @@ impl UtkEngine {
         data: &DataRef,
         region: &Region,
         query: &UtkQuery,
-    ) -> Result<(Arc<CandidateSet>, Stats), UtkError> {
+    ) -> Result<Filtered, UtkError> {
         let mut stats = Stats::new();
         if !self.inner.cache_enabled {
-            let cands = obs::span(Phase::Filter, || {
-                r_skyband_view_with_kernel(
-                    data.store(),
-                    &data.tree_view(),
-                    region,
-                    query.k,
-                    query.pivot_order(),
-                    self.inner.kernel,
-                    &mut stats,
-                )
-            });
-            return Ok((Arc::new(cands), stats));
+            let cands = self.filter_from(data, region, query, None, &mut stats);
+            return Ok((cands, stats));
         }
         debug_assert_eq!(
             region_fingerprint(region),
@@ -1985,61 +2393,56 @@ impl UtkEngine {
             "candidates() must be keyed on the query's own region"
         );
         let key = FilterKey::of(query, data.epoch());
-        let superset: Option<Arc<CandidateSet>> = {
+        let superset = {
             let mut cache = self.inner.filter_cache.lock().expect("cache lock");
-            if let Some(hit) = cache.get(&key) {
-                let cands = Arc::clone(&hit.cands);
+            if let Some(cands) = cache.get(&key).map(|hit| Arc::clone(&hit.cands)) {
                 self.inner.filter_hits.fetch_add(1, Ordering::Relaxed);
-                stats.filter_cache_hits = 1;
-                stats.candidates = cands.len();
-                stats.filter_cache_bytes = cache.bytes_used();
+                let stats = hit_stats(&cands, cache.bytes_used());
                 return Ok((cands, stats));
             }
             // Exact miss: probe for a cached containing region *of
-            // the same dataset epoch*. Valid only under the pivot
-            // heap key — the re-screen reproduces cold pop order from
-            // pivot scores, which the sum-key ablation does not
-            // bound.
-            if query.pivot_order() {
-                let best = cache
-                    .scan()
-                    .filter(|(ck, _)| {
-                        ck.epoch == key.epoch
-                            && ck.k == key.k
-                            && ck.pivot_order
-                            && ck.scoring == key.scoring
-                    })
-                    .filter(|(_, entry)| entry.region.contains_region(region))
-                    // Smallest candidate set re-screens cheapest; the
-                    // fingerprint tie-break keeps the choice
-                    // deterministic under HashMap iteration order.
-                    .min_by_key(|(ck, entry)| (entry.cands.len(), ck.region.clone()))
-                    .map(|(ck, entry)| (ck.clone(), Arc::clone(&entry.cands)));
-                best.map(|(ck, cands)| {
-                    cache.touch(&ck);
-                    cands
-                })
-            } else {
-                None
-            }
+            // the same dataset epoch*.
+            cached_superset(&cache, &key, region)
         };
-        self.inner.filter_misses.fetch_add(1, Ordering::Relaxed);
-        let cands = match &superset {
+        let cands = self.filter_from(
+            data,
+            region,
+            query,
+            superset.as_ref().map(|(_, sup)| &**sup),
+            &mut stats,
+        );
+        let touch = superset.as_ref().map(|(ck, _)| ck);
+        (stats.evictions, stats.filter_cache_bytes) =
+            self.commit_filter(key, region, &cands, touch);
+        Ok((cands, stats))
+    }
+
+    /// A filter step computed rather than looked up: a re-screen of
+    /// `superset` when given, else a cold BBS over the R-tree.
+    fn filter_from(
+        &self,
+        data: &DataRef,
+        region: &Region,
+        query: &UtkQuery,
+        superset: Option<&CandidateSet>,
+        stats: &mut Stats,
+    ) -> Arc<CandidateSet> {
+        Arc::new(match superset {
             Some(sup) => {
                 self.inner.superset_hits.fetch_add(1, Ordering::Relaxed);
                 stats.superset_hits = 1;
                 // Pure screen-kernel work (no BBS): its own phase.
-                Arc::new(obs::span(Phase::Screen, || {
+                obs::span(Phase::Screen, || {
                     r_skyband_from_superset_with_kernel(
                         sup,
                         region,
                         query.k,
                         self.inner.kernel,
-                        &mut stats,
+                        stats,
                     )
-                }))
+                })
             }
-            None => Arc::new(obs::span(Phase::Filter, || {
+            None => obs::span(Phase::Filter, || {
                 r_skyband_view_with_kernel(
                     data.store(),
                     &data.tree_view(),
@@ -2047,19 +2450,34 @@ impl UtkEngine {
                     query.k,
                     query.pivot_order(),
                     self.inner.kernel,
-                    &mut stats,
+                    stats,
                 )
-            })),
-        };
+            }),
+        })
+    }
+
+    /// Caches a computed filter step under `key`, first marking
+    /// `touch`, the superset it re-screened, recently used.
+    /// Returns the evictions and the cache's bytes after the insert.
+    fn commit_filter(
+        &self,
+        key: FilterKey,
+        region: &Region,
+        cands: &Arc<CandidateSet>,
+        touch: Option<&FilterKey>,
+    ) -> (usize, usize) {
+        self.inner.filter_misses.fetch_add(1, Ordering::Relaxed);
         let entry = FilterEntry {
             region: region.clone(),
-            cands: Arc::clone(&cands),
+            cands: Arc::clone(cands),
         };
         let bytes = entry.approx_bytes();
         let mut cache = self.inner.filter_cache.lock().expect("cache lock");
-        stats.evictions = cache.insert(key, entry, bytes);
-        stats.filter_cache_bytes = cache.bytes_used();
-        Ok((cands, stats))
+        if let Some(ck) = touch {
+            cache.touch(ck);
+        }
+        let evictions = cache.insert(key, entry, bytes);
+        (evictions, cache.bytes_used())
     }
 
     /// The dataset view for a scoring: the current snapshot for plain

@@ -14,6 +14,10 @@
 //! so, as the paper observes, the r-dominance graph arcs come for free
 //! from the membership tests.
 //!
+//! The plain monotone top-k search of §3.1 ([`top_k_tree`]) lives here
+//! too: it reads the index through the same overlay-aware
+//! [`TreeView`].
+//!
 //! # The flat screen loop
 //!
 //! The screen — "how many current members r-dominate this probe?" —
@@ -65,7 +69,8 @@ use crate::rdominance::{
 };
 use crate::stats::Stats;
 use utk_geom::{
-    f32_down, pref_score, PointStore, PointStoreBuilder, Region, ScorePanel, SCORE_LANES,
+    f32_down, pref_score, score_upper_bound, PointStore, PointStoreBuilder, Region, ScorePanel,
+    SCORE_LANES,
 };
 use utk_rtree::RTree;
 
@@ -176,14 +181,14 @@ pub(crate) fn prefilter(
         // utk-lint: allow(panic) -- documented # Panics contract; the engine validates first
         panic!("query region is empty");
     };
+    let store = PointStore::from_rows(points);
     if slack <= INTERIOR_EPS {
         // utk-lint: allow(panic) -- invariant: interior_point() above proved the region non-empty
         let w = region.pivot().expect("non-empty region");
-        let mut top_k = crate::topk::top_k_brute(points, &w, k);
+        let (mut top_k, _) = top_k_tree(&store, &TreeView::packed(tree), &w, k);
         top_k.sort_unstable();
         return Prefilter::Degenerate { w, top_k };
     }
-    let store = PointStore::from_rows(points);
     let cands = r_skyband(&store, tree, region, k, pivot_order, stats);
     if cands.len() <= k {
         let mut ids = cands.ids.clone();
@@ -491,6 +496,15 @@ impl<'r> BandScreen<'r> {
 /// id first — which makes the record pop order exactly "descending
 /// key, ties by ascending id", the order
 /// [`r_skyband_from_superset`] reproduces (see [`Entry`]'s `Ord`).
+///
+/// The node key is the unpadded `pref_score(mbb.hi, pivot)`, which is
+/// an upper bound on the records below only up to rounding: in `f64`
+/// a record a few ulps under the top corner can score a few ulps above
+/// it, and a negative implied pivot weight flips the maximizing corner
+/// (see [`utk_geom::score_upper_bound`]). "A node pops before every
+/// record below it" therefore holds up to ulps here. [`top_k_tree`]
+/// keys its nodes by the conservative bound instead; this BBS and its
+/// work counters are unchanged.
 #[derive(Debug)]
 struct Entry {
     key: f64,
@@ -550,11 +564,15 @@ pub const TOMBSTONE: u32 = u32::MAX;
 /// record pop order is tree-shape independent — records pop in
 /// descending key order with ties to the smaller (current) id,
 /// because every node's key (its MBB top corner, possibly stale but
-/// still an upper bound over the live records inside) pops before the
-/// records below it. A subtree pruned via its (stale) top corner only
-/// hides records that same screen would have rejected, since a member
-/// r-dominating the corner r-dominates everything under it. Only the
-/// work counters (`bbs_pops`, node screens) depend on the tree shape.
+/// still an upper bound over the live records inside — up to ulps,
+/// see `Entry`) pops before the records below it. A subtree pruned
+/// via its (stale) top corner only hides records that same screen
+/// would have rejected, since a member r-dominating the corner
+/// r-dominates everything under it. Only the work counters
+/// (`bbs_pops`, node screens) depend on the tree shape.
+///
+/// [`top_k_tree`] reads the same view: it scores `extra` records up
+/// front, skips tombstones, and ranks by current ids.
 #[derive(Debug, Clone, Copy)]
 pub struct TreeView<'a> {
     tree: &'a RTree,
@@ -591,6 +609,141 @@ impl<'a> TreeView<'a> {
             }
         }
     }
+}
+
+/// Work counters of one [`top_k_tree`] search. Deterministic — they
+/// depend only on the records, the tree shape and `w` — and kept off
+/// the wire: the engine's `topk` stats object stays all zeros.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TopKWork {
+    /// Records scored (overlay `extra` records included).
+    pub scored: usize,
+    /// R-tree nodes expanded.
+    pub expanded: usize,
+}
+
+/// A record in [`top_k_tree`]'s best-k heap. Ordered so that the
+/// *worse* record compares greater — lower score under `total_cmp`,
+/// then larger id — putting the current k-th best on top of the
+/// max-heap.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    score: f64,
+    id: u32,
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+impl Eq for Ranked {}
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .score
+            .total_cmp(&self.score)
+            .then(self.id.cmp(&other.id))
+    }
+}
+
+/// The `k` highest-scoring records under reduced weights `w`, in
+/// descending score order (`total_cmp`) with ties to the smaller
+/// current id — byte-identical to [`crate::topk::top_k_brute`] over
+/// the same records — found by best-first search over `view` (the
+/// plain monotone top-k of §3.1).
+///
+/// Nodes expand from a max-heap keyed by [`score_upper_bound`] over
+/// their MBB, which bounds every record below them *as computed*, so
+/// a record in an unexpanded node never outranks the k-th best. The
+/// search stops only when the best remaining bound is **strictly**
+/// below the current k-th score: a node that could hold a tie is still
+/// expanded, so the id tie-break sees every tied record. Overlay
+/// `extra` records are scored up front and tombstoned base records are
+/// skipped; ids are current ids throughout. A stale base tree's MBBs
+/// still contain its live records, so the bound stays valid.
+pub fn top_k_tree(
+    points: &PointStore,
+    view: &TreeView<'_>,
+    w: &[f64],
+    k: usize,
+) -> (Vec<u32>, TopKWork) {
+    let mut work = TopKWork::default();
+    if k == 0 {
+        return (Vec::new(), work);
+    }
+    let mut best = std::collections::BinaryHeap::with_capacity(k.min(points.len()) + 1);
+    let offer = |best: &mut std::collections::BinaryHeap<Ranked>, id: u32| {
+        let cand = Ranked {
+            score: pref_score(&points[id as usize], w),
+            id,
+        };
+        if best.len() < k {
+            best.push(cand);
+        } else if let Some(mut worst) = best.peek_mut() {
+            if cand < *worst {
+                *worst = cand;
+            }
+        }
+    };
+    for &id in view.extra {
+        offer(&mut best, id);
+    }
+    work.scored += view.extra.len();
+    let tree = view.tree;
+    let bound_of = |node: usize| {
+        let mbb = &tree.node(node).mbb;
+        score_upper_bound(&mbb.lo, &mbb.hi, w)
+    };
+    // Node entries only; bounds are never NaN, so `Entry`'s order is
+    // descending bound, then ascending node id.
+    let mut frontier = std::collections::BinaryHeap::new();
+    frontier.push(Entry {
+        key: bound_of(tree.root()),
+        is_node: true,
+        id: tree.root(),
+    });
+    while let Some(Entry {
+        key: bound,
+        id: node,
+        ..
+    }) = frontier.pop()
+    {
+        // IEEE `<`: equal bounds still expand (ties), and a NaN k-th
+        // score never prunes.
+        if best.len() == k && best.peek().is_some_and(|kth| bound < kth.score) {
+            break;
+        }
+        work.expanded += 1;
+        match &tree.node(node).kind {
+            utk_rtree::NodeKind::Inner { children } => {
+                for &c in children {
+                    frontier.push(Entry {
+                        key: bound_of(c),
+                        is_node: true,
+                        id: c,
+                    });
+                }
+            }
+            utk_rtree::NodeKind::Leaf { items } => {
+                for &rid in items {
+                    if let Some(cur) = view.current_id(rid) {
+                        work.scored += 1;
+                        offer(&mut best, cur);
+                    }
+                }
+            }
+        }
+    }
+    (
+        best.into_sorted_vec().into_iter().map(|r| r.id).collect(),
+        work,
+    )
 }
 
 /// r-skyband via the adapted BBS (§4.1): candidates r-dominated by

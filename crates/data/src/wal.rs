@@ -760,8 +760,12 @@ mod tests {
     use super::*;
     use crate::csv::parse_csv;
 
-    fn temp_path(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("utk_wal_{tag}_{}.wal", std::process::id()))
+    /// A log path in a private directory; the directory (and the log)
+    /// go away when the returned guard drops.
+    fn temp_log(tag: &str) -> (utk_testdir::TestDir, PathBuf) {
+        let dir = utk_testdir::TestDir::new(&format!("wal_{tag}"));
+        let path = dir.join("log.wal");
+        (dir, path)
     }
 
     fn sample_records() -> Vec<WalRecord> {
@@ -794,8 +798,7 @@ mod tests {
 
     #[test]
     fn append_and_reopen_round_trips_records() {
-        let path = temp_path("roundtrip");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = temp_log("roundtrip");
         let mut open = WalFile::open(&path).expect("create");
         assert!(open.records.is_empty());
         for r in sample_records() {
@@ -807,7 +810,6 @@ mod tests {
         assert_eq!(reopened.records, sample_records());
         assert_eq!(reopened.truncated_bytes, 0);
         assert_eq!(reopened.wal.epoch(), 3);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -818,8 +820,7 @@ mod tests {
         let records = sample_records();
         let second_len = records[1].encode().len() as u64;
         for cut in 0..second_len {
-            let path = temp_path(&format!("crash_{cut}"));
-            let _ = std::fs::remove_file(&path);
+            let (_dir, path) = temp_log(&format!("crash_{cut}"));
             let mut open = WalFile::open(&path).expect("create");
             open.wal.append(&records[0]).expect("first append");
             open.wal.fail_after_n_bytes(Some(cut));
@@ -835,14 +836,12 @@ mod tests {
             let healed = WalFile::open(&path).expect("reopen healed");
             assert_eq!(healed.records.len(), 2);
             assert_eq!(healed.wal.epoch(), 2);
-            let _ = std::fs::remove_file(&path);
         }
     }
 
     #[test]
     fn flipped_checksum_byte_is_typed_corruption() {
-        let path = temp_path("flip");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = temp_log("flip");
         let mut open = WalFile::open(&path).expect("create");
         open.wal.append(&sample_records()[0]).expect("append");
         let mut bytes = std::fs::read(&path).expect("read");
@@ -854,13 +853,11 @@ mod tests {
             matches!(err, WalError::Corrupt { .. }),
             "got {err:?} instead of Corrupt"
         );
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn duplicate_epoch_is_typed_mismatch() {
-        let path = temp_path("dup");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = temp_log("dup");
         let mut open = WalFile::open(&path).expect("create");
         let r1 = WalRecord::Delete {
             epoch: 1,
@@ -889,13 +886,11 @@ mod tests {
                 got: 1
             }
         ));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn compaction_resets_the_log_to_a_single_marker() {
-        let path = temp_path("compact");
-        let _ = std::fs::remove_file(&path);
+        let (_dir, path) = temp_log("compact");
         let mut open = WalFile::open(&path).expect("create");
         for r in sample_records() {
             open.wal.append(&r).expect("append");
@@ -914,7 +909,6 @@ mod tests {
         assert_eq!(reopened.records.len(), 2);
         assert_eq!(reopened.records[0], WalRecord::Compact { base_epoch: 3 });
         assert_eq!(reopened.wal.epoch(), 4);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

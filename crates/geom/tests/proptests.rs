@@ -1,7 +1,10 @@
 //! Property-based tests for the geometry kernel.
 
 use proptest::prelude::*;
-use utk_geom::{Arrangement, Constraint, Halfspace, LinearProgram, LpOutcome, Region};
+use utk_geom::{
+    pref_score, score_upper_bound, Arrangement, Constraint, Halfspace, LinearProgram, LpOutcome,
+    Region,
+};
 
 fn small_coef() -> impl Strategy<Value = f64> {
     -1.0f64..1.0
@@ -147,5 +150,57 @@ proptest! {
             let v: f64 = a.iter().zip(&w).map(|(ai, wi)| ai * wi).sum::<f64>() + c;
             prop_assert!(v >= min - 1e-9 && v <= max + 1e-9);
         }
+    }
+}
+
+/// One coordinate pair `(lo, hi)` with `lo ≤ hi`.
+fn axis() -> impl Strategy<Value = (f64, f64)> {
+    (-10.0f64..10.0, 0.0f64..5.0).prop_map(|(lo, span)| (lo, lo + span))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `score_upper_bound` is never beaten, as computed, by a record in
+    /// its box — at the box corners, one ulp inside them, and at an
+    /// interior point — for weights anywhere in the engine's admitted
+    /// domain (each `≥ −1e-6`, summing to at most `1 + 1e-6`).
+    #[test]
+    fn score_upper_bound_covers_its_box(
+        axes in prop::collection::vec(axis(), 2..7),
+        raw in prop::collection::vec(-1e-6f64..1.0, 6),
+        t in prop::collection::vec(0.0f64..1.0, 7),
+    ) {
+        let d = axes.len();
+        let (lo, hi): (Vec<f64>, Vec<f64>) = axes.iter().copied().unzip();
+        // Scale the raw weights so their sum lands in the admitted
+        // range, keeping every weight at or above −1e-6.
+        let mut w: Vec<f64> = raw[..d - 1].to_vec();
+        let sum: f64 = w.iter().sum();
+        if sum > 1.0 + 1e-6 {
+            for wi in &mut w {
+                if *wi > 0.0 {
+                    *wi *= (1.0 + 5e-7) / sum;
+                }
+            }
+        }
+        let bound = score_upper_bound(&lo, &hi, &w);
+        for mask in 0..(1u32 << d) {
+            let corner: Vec<f64> =
+                (0..d).map(|i| if mask >> i & 1 == 1 { hi[i] } else { lo[i] }).collect();
+            prop_assert!(pref_score(&corner, &w) <= bound);
+            let nudged: Vec<f64> = (0..d)
+                .map(|i| {
+                    if mask >> i & 1 == 1 {
+                        hi[i].next_down().max(lo[i])
+                    } else {
+                        lo[i].next_up().min(hi[i])
+                    }
+                })
+                .collect();
+            prop_assert!(pref_score(&nudged, &w) <= bound);
+        }
+        let inner: Vec<f64> = (0..d).map(|i| (lo[i] + t[i] * (hi[i] - lo[i])).min(hi[i])).collect();
+        prop_assert!(pref_score(&inner, &w) <= bound);
     }
 }

@@ -43,8 +43,13 @@ impl Connection {
 
     /// Sends one raw request line and reads one raw response line.
     pub fn round_trip(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write for the whole line: a server that refuses the
+        // connection (`busy`) writes its reply and closes, and a second
+        // write would then fail on the reset before the reply is read.
+        let mut framed = Vec::with_capacity(line.len() + 1);
+        framed.extend_from_slice(line.as_bytes());
+        framed.push(b'\n');
+        self.writer.write_all(&framed)?;
         self.writer.flush()?;
         self.read_line()
     }

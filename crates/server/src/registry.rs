@@ -497,10 +497,11 @@ fn compact_into_snapshot(wal: &mut WalFile, data: &CsvData, epoch: u64) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use utk_testdir::TestDir;
 
-    fn fixture_dir() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("utk_registry_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    /// A private datasets directory for one test, removed on drop.
+    fn fixture_dir(tag: &str) -> TestDir {
+        let dir = TestDir::new(tag);
         std::fs::write(
             dir.join("hotels.csv"),
             "p1,8.3,9.1,7.2\np2,2.4,9.6,8.6\np3,5.4,1.6,4.1\n",
@@ -513,7 +514,8 @@ mod tests {
 
     #[test]
     fn lazy_load_evict_and_shared_budget() {
-        let dir = fixture_dir();
+        let fixture = fixture_dir("registry_lazy_load_evict_and_shared_budget");
+        let dir = fixture.path().to_path_buf();
         const BUDGET: usize = 1 << 20;
         let registry = DatasetRegistry::new(dir, BUDGET, 1);
         assert_eq!(registry.loaded_count(), 0);
@@ -541,7 +543,9 @@ mod tests {
 
     #[test]
     fn update_mutates_engine_and_names_and_redeals_the_budget() {
-        let dir = fixture_dir();
+        let fixture =
+            fixture_dir("registry_update_mutates_engine_and_names_and_redeals_the_budget");
+        let dir = fixture.path().to_path_buf();
         const BUDGET: usize = 1 << 20;
         let registry = DatasetRegistry::new(dir, BUDGET, 1);
         let (hotels, _) = registry.get_or_load("hotels").unwrap();
@@ -615,9 +619,9 @@ mod tests {
 
     #[test]
     fn wal_replays_updates_across_evict_and_reload() {
-        let dir = fixture_dir();
+        let fixture = fixture_dir("registry_wal_replays_updates_across_evict_and_reload");
+        let dir = fixture.path().to_path_buf();
         let wal_dir = dir.join("wal_replay");
-        let _ = std::fs::remove_dir_all(&wal_dir);
         let registry = DatasetRegistry::new(dir.clone(), 1 << 20, 1).with_wal_dir(wal_dir.clone());
         assert_eq!(registry.wal_totals(), (0, 0, 0));
 
@@ -655,9 +659,9 @@ mod tests {
 
     #[test]
     fn index_rebuild_compacts_the_wal_into_a_snapshot() {
-        let dir = fixture_dir();
+        let fixture = fixture_dir("registry_index_rebuild_compacts_the_wal_into_a_snapshot");
+        let dir = fixture.path().to_path_buf();
         let wal_dir = dir.join("wal_compact");
-        let _ = std::fs::remove_dir_all(&wal_dir);
         let registry = DatasetRegistry::new(dir.clone(), 1 << 20, 1).with_wal_dir(wal_dir.clone());
 
         // Enough churn to trip the engine's rebuild heuristic: grow
@@ -696,9 +700,9 @@ mod tests {
 
     #[test]
     fn record_budget_compacts_the_wal_without_a_rebuild() {
-        let dir = fixture_dir();
+        let fixture = fixture_dir("registry_record_budget_compacts_the_wal_without_a_rebuild");
+        let dir = fixture.path().to_path_buf();
         let wal_dir = dir.join("wal_every");
-        let _ = std::fs::remove_dir_all(&wal_dir);
         let registry = DatasetRegistry::new(dir.clone(), 1 << 20, 1)
             .with_wal_dir(wal_dir.clone())
             .with_wal_compact_every(2);
@@ -739,7 +743,8 @@ mod tests {
 
     #[test]
     fn bad_names_and_files_are_typed() {
-        let dir = fixture_dir();
+        let fixture = fixture_dir("registry_bad_names_and_files_are_typed");
+        let dir = fixture.path().to_path_buf();
         let registry = DatasetRegistry::new(dir, 1 << 20, 1);
         for bad in ["../etc/passwd", "a/b", "", "a b", "x.csv"] {
             let err = registry.get_or_load(bad).unwrap_err();
@@ -758,7 +763,8 @@ mod tests {
 
     #[test]
     fn available_lists_csv_stems() {
-        let dir = fixture_dir();
+        let fixture = fixture_dir("registry_available_lists_csv_stems");
+        let dir = fixture.path().to_path_buf();
         let registry = DatasetRegistry::new(dir, 1 << 20, 1);
         let names = registry.available();
         assert!(names.contains(&"hotels".to_string()), "{names:?}");

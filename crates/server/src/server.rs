@@ -1652,12 +1652,9 @@ mod tests {
         // there first. Renaming anyway would clobber the `.1`
         // generation; instead the sink adopts the fresh file, reports
         // the averted double-rotation, and still writes the record.
-        let dir = std::env::temp_dir().join(format!("utk_sink_rotate_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let dir = utk_testdir::TestDir::new("server_sink_rotate");
         let path = dir.join("slow.jsonl");
         let rotated = dir.join("slow.jsonl.1");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&rotated);
 
         let sink = SlowQuerySink {
             path: path.clone(),
@@ -1690,7 +1687,5 @@ mod tests {
         assert_eq!(kept, format!("fresh\n{second}\n"), "real rotation renames");
         let current = std::fs::read_to_string(&path).expect("current file");
         assert_eq!(current, format!("{third}\n"));
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -191,11 +191,27 @@
 //!   ones (`tests/determinism.rs`), responses re-serialize
 //!   byte-exactly (`tests/wire_roundtrip.rs`), and one representative
 //!   response of each kind is pinned to its exact bytes
-//!   (`tests/wire_golden.rs`). Enforced by the lint's `float-cmp`
+//!   (`tests/wire_golden.rs`). A batch's stats do not depend on pool
+//!   scheduling: `UtkEngine::run_many` filters and refines groups
+//!   concurrently against the cache as it stood when the batch began,
+//!   then writes the filter steps to the cache in input order
+//!   (`tests/determinism.rs`). Enforced by the lint's `float-cmp`
 //!   rule (float comparisons must be total — `total_cmp`, never bare
 //!   `partial_cmp` in sorts) and `hash-iter` rule (no
 //!   `HashMap`/`HashSet` in wire-feeding modules, where iteration
 //!   order would leak into output bytes).
+//! * **Top-k ≡ brute force, byte for byte.** The engine's `topk`
+//!   answers and its degenerate-region shortcut come from a
+//!   best-first search over the R-tree
+//!   ([`core::skyband::top_k_tree`]), and they equal
+//!   [`core::topk::top_k_brute`] exactly: score descending under
+//!   `total_cmp`, ties to the smaller id. Node bounds come from
+//!   [`geom::score_upper_bound`] (sign-aware corner plus rounding
+//!   slack), and the search stops only when the best bound is strictly
+//!   below the k-th score. Locked by `tests/topk.rs` (distributions ×
+//!   d × k, duplicates, boundary weights, every overlay state, legacy
+//!   entry points), the bound's unit tests and proptest in
+//!   `crates/geom`, and the work-bound test in `core::topk`.
 //! * **Panic-freedom in library code.** Query evaluation returns
 //!   typed errors ([`core::error::UtkError`]); servers must not be
 //!   killable by a request. Locked by `tests/edge_cases.rs` and the

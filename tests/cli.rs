@@ -1,6 +1,8 @@
 //! End-to-end tests of the `utk` command-line binary.
 
+use std::path::PathBuf;
 use std::process::Command;
+use utk_testdir::TestDir;
 
 const HOTELS_CSV: &str = "\
 hotel,service,cleanliness,location
@@ -13,9 +15,9 @@ p6,7.9,6.4,6.6
 p7,8.6,7.1,4.3
 ";
 
-fn hotels_file() -> std::path::PathBuf {
-    let dir = std::env::temp_dir();
-    let path = dir.join("utk_cli_test_hotels.csv");
+/// Writes the Figure 1 hotels into the test's own directory.
+fn hotels_file(dir: &TestDir) -> PathBuf {
+    let path = dir.join("hotels.csv");
     std::fs::write(&path, HOTELS_CSV).unwrap();
     path
 }
@@ -34,7 +36,8 @@ fn utk(args: &[&str]) -> (String, String, bool) {
 
 #[test]
 fn utk1_reports_figure1_answer() {
-    let data = hotels_file();
+    let dir = TestDir::new("cli_utk1_reports_figure1_answer");
+    let data = hotels_file(&dir);
     let (stdout, _, ok) = utk(&[
         "utk1",
         "--data",
@@ -56,7 +59,8 @@ fn utk1_reports_figure1_answer() {
 
 #[test]
 fn utk2_center_width_form() {
-    let data = hotels_file();
+    let dir = TestDir::new("cli_utk2_center_width_form");
+    let data = hotels_file(&dir);
     let (stdout, _, ok) = utk(&[
         "utk2",
         "--data",
@@ -75,7 +79,8 @@ fn utk2_center_width_form() {
 
 #[test]
 fn topk_matches_known_ranking() {
-    let data = hotels_file();
+    let dir = TestDir::new("cli_topk_matches_known_ranking");
+    let data = hotels_file(&dir);
     let (stdout, _, ok) = utk(&[
         "topk",
         "--data",
@@ -98,7 +103,8 @@ fn generate_pipes_back_into_queries() {
     ]);
     assert!(ok);
     assert_eq!(csv.lines().count(), 50);
-    let path = std::env::temp_dir().join("utk_cli_test_gen.csv");
+    let dir = TestDir::new("cli_generate_pipes_back_into_queries");
+    let path = dir.join("gen.csv");
     std::fs::write(&path, &csv).unwrap();
     let (stdout, _, ok) = utk(&[
         "utk1",
@@ -117,7 +123,8 @@ fn generate_pipes_back_into_queries() {
 
 #[test]
 fn lp_scoring_flag() {
-    let data = hotels_file();
+    let dir = TestDir::new("cli_lp_scoring_flag");
+    let data = hotels_file(&dir);
     let (stdout, _, ok) = utk(&[
         "utk1",
         "--data",
@@ -141,7 +148,8 @@ fn helpful_errors() {
     assert!(!ok);
     assert!(stderr.contains("--data"));
 
-    let data = hotels_file();
+    let dir = TestDir::new("cli_helpful_errors");
+    let data = hotels_file(&dir);
     let (_, stderr, ok) = utk(&["utk1", "--data", data.to_str().unwrap(), "--k", "2"]);
     assert!(!ok);
     assert!(stderr.contains("region"));
@@ -153,7 +161,8 @@ fn helpful_errors() {
 
 #[test]
 fn malformed_flags_name_the_offender() {
-    let data = hotels_file();
+    let dir = TestDir::new("cli_malformed_flags_name_the_offender");
+    let data = hotels_file(&dir);
     let d = data.to_str().unwrap();
 
     // A flag with its value missing is pinpointed.
@@ -227,7 +236,8 @@ fn malformed_flags_name_the_offender() {
 
 #[test]
 fn algo_flag_selects_algorithms() {
-    let data = hotels_file();
+    let dir = TestDir::new("cli_algo_flag_selects_algorithms");
+    let data = hotels_file(&dir);
     let d = data.to_str().unwrap();
     let base = [
         "utk1",
@@ -274,7 +284,8 @@ fn algo_flag_selects_algorithms() {
 
 #[test]
 fn json_output_is_machine_readable() {
-    let data = hotels_file();
+    let dir = TestDir::new("cli_json_output_is_machine_readable");
+    let data = hotels_file(&dir);
     let d = data.to_str().unwrap();
 
     let (stdout, _, ok) = utk(&[
@@ -351,7 +362,8 @@ fn json_output_is_machine_readable() {
 
 #[test]
 fn json_mode_errors_are_machine_parsable_objects() {
-    let data = hotels_file();
+    let dir = TestDir::new("cli_json_mode_errors_are_machine_parsable_objects");
+    let data = hotels_file(&dir);
     let d = data.to_str().unwrap();
 
     // Engine-rejected query under --json: stdout carries the same
@@ -401,7 +413,8 @@ fn json_mode_errors_are_machine_parsable_objects() {
 
 #[test]
 fn parallel_flag_agrees_with_sequential() {
-    let data = hotels_file();
+    let dir = TestDir::new("cli_parallel_flag_agrees_with_sequential");
+    let data = hotels_file(&dir);
     let d = data.to_str().unwrap();
     let (seq, _, ok1) = utk(&[
         "utk1",
@@ -454,16 +467,17 @@ utk1 --k 0 --lo 0.05,0.05 --hi 0.45,0.25
 utk1 --k 2 --json
 ";
 
-fn batch_file() -> std::path::PathBuf {
-    let path = std::env::temp_dir().join("utk_cli_test_batch.txt");
+fn batch_file(dir: &TestDir) -> PathBuf {
+    let path = dir.join("batch.txt");
     std::fs::write(&path, BATCH_QUERIES).unwrap();
     path
 }
 
 #[test]
 fn batch_mode_emits_one_json_line_per_query_in_order() {
-    let data = hotels_file();
-    let queries = batch_file();
+    let dir = TestDir::new("cli_batch_mode_emits_one_json_line_per_query_in_order");
+    let data = hotels_file(&dir);
+    let queries = batch_file(&dir);
     let (stdout, stderr, ok) = utk(&[
         "batch",
         "--data",
@@ -499,8 +513,9 @@ fn batch_mode_emits_one_json_line_per_query_in_order() {
 
 #[test]
 fn batch_utk1_line_matches_single_query_json_records() {
-    let data = hotels_file();
-    let path = std::env::temp_dir().join("utk_cli_test_batch_single.txt");
+    let dir = TestDir::new("cli_batch_utk1_line_matches_single_query_json_records");
+    let data = hotels_file(&dir);
+    let path = dir.join("batch_single.txt");
     std::fs::write(&path, "utk1 --k 2 --lo 0.05,0.05 --hi 0.45,0.25\n").unwrap();
     let (batch_out, _, ok1) = utk(&[
         "batch",
@@ -533,15 +548,13 @@ fn batch_utk1_line_matches_single_query_json_records() {
 /// final run point is (re-)answered, byte-identically.
 #[test]
 fn batch_wal_resume_skips_committed_mutations() {
-    let data = hotels_file();
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let queries = dir.join(format!("utk_cli_wal_q_{pid}.txt"));
+    let dir = TestDir::new("cli_batch_wal_resume_skips_committed_mutations");
+    let data = hotels_file(&dir);
+    let queries = dir.join("queries.txt");
     std::fs::write(&queries, "utk1 --k 2 --lo 0.05,0.05 --hi 0.45,0.25\n").unwrap();
-    let mutations = dir.join(format!("utk_cli_wal_m_{pid}.txt"));
+    let mutations = dir.join("mutations.txt");
     std::fs::write(&mutations, "delete 2\ninsert p8,9.9,9.8,9.7\n").unwrap();
-    let log = dir.join(format!("utk_cli_wal_{pid}.wal"));
-    let _ = std::fs::remove_file(&log);
+    let log = dir.join("log.wal");
 
     let run = || {
         utk(&[
@@ -575,12 +588,12 @@ fn batch_wal_resume_skips_committed_mutations() {
     let second_lines: Vec<&str> = second.lines().collect();
     assert_eq!(second_lines.len(), 1, "{second}");
     assert_eq!(second_lines[0], first_lines[2], "resume must be exact");
-    let _ = std::fs::remove_file(&log);
 }
 
 #[test]
 fn batch_requires_its_inputs() {
-    let data = hotels_file();
+    let dir = TestDir::new("cli_batch_requires_its_inputs");
+    let data = hotels_file(&dir);
     let (_, stderr, ok) = utk(&["batch", "--data", data.to_str().unwrap()]);
     assert!(!ok);
     assert!(stderr.contains("--file"), "{stderr}");
@@ -588,7 +601,8 @@ fn batch_requires_its_inputs() {
 
 #[test]
 fn utk2_accepts_parallel_flags() {
-    let data = hotels_file();
+    let dir = TestDir::new("cli_utk2_accepts_parallel_flags");
+    let data = hotels_file(&dir);
     let (stdout, stderr, ok) = utk(&[
         "utk2",
         "--data",

@@ -155,3 +155,80 @@ fn parallel_json_matches_sequential_modulo_pool_marker() {
     let normalize = |s: &str| s.replace(r#""pool_threads":2"#, r#""pool_threads":0"#);
     assert_eq!(normalize(&seq), normalize(&par));
 }
+
+/// A batch whose groups share the filter cache — regions nest up to
+/// three deep, so superset reuse and `filter_cache_bytes` depend on
+/// which group filters first — answers with the same bytes, stats
+/// included, however the pool schedules it, and with the bytes of
+/// running its queries one by one. A group whose first query skips
+/// the filter (SK) still shares one filter step between the RSA and
+/// JAA queries after it, and a group already in the cache before the
+/// batch is a hit.
+#[test]
+fn run_many_bytes_do_not_depend_on_scheduling() {
+    let ds = generate(Distribution::Ind, 400, 3, 2018);
+    let outer = Region::hyperrect(vec![0.1, 0.1], vec![0.4, 0.3]);
+    let inner = Region::hyperrect(vec![0.15, 0.15], vec![0.3, 0.25]);
+    let innermost = Region::hyperrect(vec![0.2, 0.18], vec![0.25, 0.22]);
+    let side = Region::hyperrect(vec![0.32, 0.12], vec![0.38, 0.2]);
+    let other = Region::hyperrect(vec![0.5, 0.1], vec![0.6, 0.2]);
+    let late = Region::hyperrect(vec![0.05, 0.45], vec![0.3, 0.65]);
+    let early = Region::hyperrect(vec![0.1, 0.5], vec![0.2, 0.6]);
+    let warm = UtkQuery::utk1(3).region(other.clone());
+    let batch = [
+        UtkQuery::utk1(3).region(outer.clone()),
+        UtkQuery::utk2(3).region(outer).parallel(true),
+        UtkQuery::utk2(3).region(inner),
+        UtkQuery::topk(3).weights(vec![0.3, 0.3]),
+        UtkQuery::utk1(3).region(other.clone()),
+        UtkQuery::utk1(3).region(side.clone()).algorithm(Algo::Sk),
+        UtkQuery::utk1(3).region(side.clone()),
+        UtkQuery::utk2(3).region(other),
+        UtkQuery::utk2(3).region(side),
+        UtkQuery::utk1(3).region(innermost),
+        // `early` lies inside `late`, but `late`'s group first filters
+        // after it: no superset to re-screen yet.
+        UtkQuery::utk1(3).region(late.clone()).algorithm(Algo::Sk),
+        UtkQuery::utk1(3).region(early),
+        UtkQuery::utk1(3).region(late),
+    ];
+    let engine = || {
+        let engine = UtkEngine::new(ds.points.clone())
+            .unwrap()
+            .with_pool_threads(3);
+        engine.run(&warm).unwrap();
+        engine
+    };
+    let line = |r: Result<QueryResult, UtkError>| {
+        let r = r.unwrap();
+        format!("{:?} {}", r.records(), wire::stats_json(r.stats()))
+    };
+    let render = || -> Vec<String> { engine().run_many(&batch).into_iter().map(line).collect() };
+    let reference = render();
+    // Each nested region's group filters after its container's, so
+    // it re-screens a superset; group members share their leader's
+    // filter step as an exact hit.
+    for (i, expect) in [
+        (1, r#""filter_cache_hits":1"#),
+        (2, r#""superset_hits":1"#),
+        (4, r#""filter_cache_hits":1"#),
+        (6, r#""superset_hits":1"#),
+        (7, r#""filter_cache_hits":1"#),
+        (8, r#""filter_cache_hits":1"#),
+        (9, r#""superset_hits":1"#),
+        (11, r#""superset_hits":0"#),
+    ] {
+        assert!(reference[i].contains(expect), "{i}: {}", reference[i]);
+    }
+    // One by one, on an engine in the same state: the same bytes but
+    // for the batch's group count.
+    let single = engine();
+    let groups = r#""batch_group_count":8"#;
+    for (query, batched) in batch.iter().zip(&reference) {
+        let alone = line(single.run(query)).replace(r#""batch_group_count":0"#, groups);
+        assert_eq!(&alone, batched);
+    }
+    for _ in 0..30 {
+        assert_eq!(render(), reference);
+    }
+}

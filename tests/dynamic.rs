@@ -30,6 +30,7 @@ use utk::data::dataset::Dataset;
 use utk::data::wal::{self, WalFile, WalRecord};
 use utk::prelude::*;
 use utk::wire;
+use utk_testdir::TestDir;
 
 /// The reference model: a plain vector mutated with the documented
 /// semantics.
@@ -324,9 +325,8 @@ proptest! {
             *labels = next;
         };
 
-        let path = std::env::temp_dir()
-            .join(format!("utk_dyn_wal_kill_{}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        let dir = TestDir::new("dyn_wal_kill");
+        let path = dir.join("log.wal");
         let mut wal_file = WalFile::open(&path).unwrap().wal;
 
         // A mutation that always changes something (an empty one
@@ -386,7 +386,6 @@ proptest! {
         for (i, want) in expected_labels.iter().enumerate() {
             prop_assert_eq!(&recovered.name(i as u32), want, "label {} diverged", i);
         }
-        let _ = std::fs::remove_file(&path);
 
         // Wire-identity: the recovered engine answers like a fresh
         // build on the epoch replay landed on.

@@ -7,6 +7,7 @@ use utk::core::topk::top_k_brute;
 use utk::data::synthetic::{generate, Distribution};
 use utk::data::wal::{WalError, WalFile, WalRecord};
 use utk::prelude::*;
+use utk_testdir::TestDir;
 
 #[test]
 fn k_equals_one_and_k_equals_n_minus_one() {
@@ -118,21 +119,21 @@ fn stats_are_populated() {
 
 /// A fresh WAL containing two committed mutations, plus the byte
 /// length of the file so tests can corrupt precise offsets.
-fn two_record_wal(tag: &str) -> (std::path::PathBuf, u64) {
-    let path = std::env::temp_dir().join(format!("utk_edge_wal_{tag}_{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+fn two_record_wal(tag: &str) -> (TestDir, std::path::PathBuf, u64) {
+    let dir = TestDir::new(&format!("edge_wal_{tag}"));
+    let path = dir.join("log.wal");
     let mut wal = WalFile::open(&path).unwrap().wal;
     wal.append(&WalRecord::for_update(1, &[], &[vec![0.5, 0.5, 0.5]], None))
         .unwrap();
     wal.append(&WalRecord::for_update(2, &[1], &[], None))
         .unwrap();
     let len = wal.bytes();
-    (path, len)
+    (dir, path, len)
 }
 
 #[test]
 fn wal_truncated_tail_is_dropped_not_fatal() {
-    let (path, _) = two_record_wal("torn");
+    let (_dir, path, _) = two_record_wal("torn");
     let full = std::fs::read(&path).unwrap();
     // Cut the file mid-way through the second record: the committed
     // prefix must survive, the torn bytes must be physically removed.
@@ -151,12 +152,11 @@ fn wal_truncated_tail_is_dropped_not_fatal() {
     let again = WalFile::open(&path).unwrap();
     assert_eq!(again.truncated_bytes, 0);
     assert_eq!(again.records.len(), 1);
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn wal_flipped_checksum_byte_is_a_typed_error() {
-    let (path, _) = two_record_wal("crc");
+    let (_dir, path, _) = two_record_wal("crc");
     let mut bytes = std::fs::read(&path).unwrap();
     // Flip one payload byte of the first record (magic is 8 bytes,
     // then [len][crc] framing of 8 more; +4 lands inside the payload).
@@ -170,12 +170,11 @@ fn wal_flipped_checksum_byte_is_a_typed_error() {
         }
         other => panic!("want Corrupt, got {other:?}"),
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn wal_duplicate_epoch_is_a_typed_error() {
-    let (path, _) = two_record_wal("dup");
+    let (_dir, path, _) = two_record_wal("dup");
     // Hand-append a record that repeats epoch 2 — `append` itself
     // refuses to write one, so splice the framed bytes in directly.
     let stale = WalRecord::for_update(2, &[], &[vec![0.1, 0.2, 0.3]], None);
@@ -188,18 +187,17 @@ fn wal_duplicate_epoch_is_a_typed_error() {
         }
         other => panic!("want EpochMismatch, got {other:?}"),
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn wal_bad_magic_is_a_typed_error() {
-    let path = std::env::temp_dir().join(format!("utk_edge_wal_magic_{}.wal", std::process::id()));
+    let dir = TestDir::new("edge_wal_magic");
+    let path = dir.join("log.wal");
     std::fs::write(&path, b"NOTAWAL0rest of the garbage").unwrap();
     match WalFile::open(&path) {
         Err(WalError::BadMagic) => {}
         other => panic!("want BadMagic, got {other:?}"),
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

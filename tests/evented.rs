@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 use utk::server::client::{BatchReply, Connection};
 use utk::server::proto::Request;
 use utk::server::server::{Bind, Server, ServerConfig, ServerHandle, Transport};
+use utk_testdir::TestDir;
 
 const HOTELS_CSV: &str = "\
 hotel,service,cleanliness,location
@@ -36,16 +37,20 @@ utk1 --k 0 --lo 0.05,0.05 --hi 0.45,0.25
 utk2 --k 2 --center 0.25,0.15 --width 0.2 --algo jaa
 ";
 
-fn datasets_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("utk_evented_test_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+/// A private datasets directory holding the hotels fixture.
+fn datasets_dir(tag: &str) -> TestDir {
+    let dir = TestDir::new(&format!("evented_{tag}"));
     std::fs::write(dir.join("hotels.csv"), HOTELS_CSV).unwrap();
     dir
 }
 
-/// An in-process TCP server on the given transport.
-fn spawn(tag: &str, transport: Transport, tweak: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
-    let mut config = ServerConfig::new(Bind::Tcp(0), datasets_dir(tag));
+/// An in-process TCP server on the given transport over `dir`.
+fn spawn(
+    dir: &TestDir,
+    transport: Transport,
+    tweak: impl FnOnce(&mut ServerConfig),
+) -> ServerHandle {
+    let mut config = ServerConfig::new(Bind::Tcp(0), dir.path().to_path_buf());
     config.transport = transport;
     config.pool_threads = 1;
     tweak(&mut config);
@@ -106,8 +111,9 @@ fn drive_protocol(handle: &ServerHandle) -> Vec<String> {
 fn transports_produce_byte_identical_responses() {
     // Same fixture dir for both servers: error lines embed dataset
     // paths, and those must match byte-for-byte too.
-    let threads = spawn("ident", Transport::Threads, |_| {});
-    let evented = spawn("ident", Transport::Evented, |_| {});
+    let dir = datasets_dir("ident");
+    let threads = spawn(&dir, Transport::Threads, |_| {});
+    let evented = spawn(&dir, Transport::Evented, |_| {});
     let from_threads = drive_protocol(&threads);
     let from_evented = drive_protocol(&evented);
     assert_eq!(
@@ -123,7 +129,8 @@ fn transports_produce_byte_identical_responses() {
 /// — and serves a query on every one of them.
 #[test]
 fn evented_serves_three_hundred_concurrent_connections() {
-    let handle = spawn("scale", Transport::Evented, |c| {
+    let dir = datasets_dir("scale");
+    let handle = spawn(&dir, Transport::Evented, |c| {
         c.max_inflight = 16;
     });
     let mut conns: Vec<Connection> = (0..300)
@@ -178,7 +185,8 @@ fn read_raw_line(stream: &mut TcpStream) -> String {
 /// connections still fits — and the cap itself still holds.
 fn cap_survives_connection_churn(tag: &str, transport: Transport) {
     const CAP: usize = 8;
-    let handle = spawn(tag, transport, |c| {
+    let dir = datasets_dir(tag);
+    let handle = spawn(&dir, transport, |c| {
         c.max_connections = CAP;
     });
     let port = tcp_port(&handle);
@@ -271,7 +279,8 @@ fn throttled_reader_gets_untorn_response(tag: &str, transport: Transport) {
     // ~6 MiB of response: past the ~4 MiB the kernel send buffer can
     // absorb (tcp_wmem max), so the server *must* hit partial writes.
     const QUERIES: usize = 40_000;
-    let handle = spawn(tag, transport, |_| {});
+    let dir = datasets_dir(tag);
+    let handle = spawn(&dir, transport, |_| {});
     let port = tcp_port(&handle);
 
     // The oracle: the same batch read at full speed.
@@ -343,7 +352,8 @@ fn stuck_reader_is_cut_loose(tag: &str, transport: Transport) {
     // receive window stays small without reads), so the server's
     // write is guaranteed to stall with zero progress.
     const QUERIES: usize = 100_000;
-    let handle = spawn(tag, transport, |c| {
+    let dir = datasets_dir(tag);
+    let handle = spawn(&dir, transport, |c| {
         c.write_timeout = Duration::from_millis(300);
     });
     let port = tcp_port(&handle);

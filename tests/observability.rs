@@ -18,6 +18,7 @@ use utk::server::client::{BatchReply, Connection};
 use utk::server::json;
 use utk::server::proto::MetricsFormat;
 use utk::server::server::{Bind, Server, ServerConfig};
+use utk_testdir::TestDir;
 
 const HOTELS_CSV: &str = "\
 hotel,service,cleanliness,location
@@ -40,10 +41,8 @@ const HOTEL_POINTS: [[f64; 3]; 7] = [
     [8.6, 7.1, 4.3],
 ];
 
-fn fixture_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("utk_obs_test_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("fixture dir");
+fn fixture_dir(tag: &str) -> TestDir {
+    let dir = TestDir::new(&format!("obs_{tag}"));
     std::fs::write(dir.join("hotels.csv"), HOTELS_CSV).expect("fixture csv");
     dir
 }
@@ -157,12 +156,11 @@ proptest! {
 /// settings, runs 3 queries + 1 batch, and returns the scraped
 /// metrics after a clean shutdown.
 fn run_slow_query_server(
-    tag: &str,
+    dir: &TestDir,
     log_path: Option<PathBuf>,
     max_bytes: Option<u64>,
-) -> (PathBuf, String) {
-    let dir = fixture_dir(tag);
-    let mut config = ServerConfig::new(Bind::Tcp(0), dir.clone());
+) -> String {
+    let mut config = ServerConfig::new(Bind::Tcp(0), dir.path().to_path_buf());
     config.pool_threads = 1;
     config.slow_query_ms = Some(0); // threshold 0: log every query
     config.slow_query_log = log_path;
@@ -191,14 +189,14 @@ fn run_slow_query_server(
         .expect("metrics scrape");
     conn.round_trip(r#"{"op":"shutdown"}"#).expect("shutdown");
     handle.join().expect("server exits");
-    (dir, metrics)
+    metrics
 }
 
 #[test]
 fn slow_query_log_records_every_query_past_the_threshold() {
-    let log = std::env::temp_dir().join(format!("utk_obs_slow_{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&log);
-    let (dir, metrics) = run_slow_query_server("slowlog", Some(log.clone()), None);
+    let dir = fixture_dir("slowlog");
+    let log = dir.join("slow.jsonl");
+    let metrics = run_slow_query_server(&dir, Some(log.clone()), None);
 
     let text = std::fs::read_to_string(&log).expect("slow-query log exists");
     let records: Vec<&str> = text.lines().collect();
@@ -234,20 +232,16 @@ fn slow_query_log_records_every_query_past_the_threshold() {
         !metrics.contains("utk_slow_query_dropped_total"),
         "{metrics}"
     );
-
-    let _ = std::fs::remove_file(&log);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn slow_query_log_rotates_at_the_size_bound() {
-    let log = std::env::temp_dir().join(format!("utk_obs_rotate_{}.jsonl", std::process::id()));
+    let dir = fixture_dir("rotate");
+    let log = dir.join("slow.jsonl");
     let rotated = log.with_extension("jsonl.1");
-    let _ = std::fs::remove_file(&log);
-    let _ = std::fs::remove_file(&rotated);
     // A 1-byte bound: every record exceeds it, so each append (after
     // the first) rotates — but a record is never split or dropped.
-    let (dir, metrics) = run_slow_query_server("rotate", Some(log.clone()), Some(1));
+    let metrics = run_slow_query_server(&dir, Some(log.clone()), Some(1));
 
     let current = std::fs::read_to_string(&log).expect("current log exists");
     let previous = std::fs::read_to_string(&rotated).expect("rotated log exists");
@@ -260,10 +254,6 @@ fn slow_query_log_rotates_at_the_size_bound() {
         !metrics.contains("utk_slow_query_dropped_total"),
         "{metrics}"
     );
-
-    let _ = std::fs::remove_file(&log);
-    let _ = std::fs::remove_file(&rotated);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -274,13 +264,11 @@ fn slow_query_rotation_is_serialized_under_concurrent_writers() {
     // never torn across files, the current/rotated pair looks exactly
     // like the sequential case, and no append is mistaken for a
     // double rotation (the dropped-records counter stays silent).
-    let log = std::env::temp_dir().join(format!("utk_obs_rotate_mt_{}.jsonl", std::process::id()));
-    let rotated = log.with_extension("jsonl.1");
-    let _ = std::fs::remove_file(&log);
-    let _ = std::fs::remove_file(&rotated);
-
     let dir = fixture_dir("rotate_mt");
-    let mut config = ServerConfig::new(Bind::Tcp(0), dir.clone());
+    let log = dir.join("slow.jsonl");
+    let rotated = log.with_extension("jsonl.1");
+
+    let mut config = ServerConfig::new(Bind::Tcp(0), dir.path().to_path_buf());
     config.pool_threads = 1;
     config.max_inflight = 8;
     // The stepping clock drives every query over the 0ms threshold
@@ -336,10 +324,6 @@ fn slow_query_rotation_is_serialized_under_concurrent_writers() {
         !metrics.contains("utk_slow_query_dropped_total"),
         "no append may be misread as a double rotation: {metrics}"
     );
-
-    let _ = std::fs::remove_file(&log);
-    let _ = std::fs::remove_file(&rotated);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -347,15 +331,14 @@ fn unwritable_slow_query_log_drops_records_but_never_requests() {
     // Point the log at a directory: every open fails. Requests must
     // still succeed, with the loss visible as a dropped-records
     // counter instead of an error or a panic.
-    let unwritable = std::env::temp_dir().join(format!("utk_obs_dir_{}", std::process::id()));
+    let dir = fixture_dir("degraded");
+    let unwritable = dir.join("decoy");
     std::fs::create_dir_all(&unwritable).expect("decoy dir");
-    let (dir, metrics) = run_slow_query_server("degraded", Some(unwritable.clone()), None);
+    let metrics = run_slow_query_server(&dir, Some(unwritable), None);
     assert!(
         metrics.contains("utk_slow_query_dropped_total 4\n"),
         "all 4 records drop, counted: {metrics}"
     );
-    let _ = std::fs::remove_dir_all(&unwritable);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------- //
@@ -364,9 +347,7 @@ fn unwritable_slow_query_log_drops_records_but_never_requests() {
 
 #[test]
 fn report_loads_a_bench_directory_with_schema_warnings() {
-    let dir = std::env::temp_dir().join(format!("utk_obs_report_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("report dir");
+    let dir = TestDir::new("obs_report");
     std::fs::write(
         dir.join("BENCH_GOOD.json"),
         r#"{"schema_version":1,"figure":"good","rows":[{"x":1,"y":2}]}"#,
@@ -376,7 +357,7 @@ fn report_loads_a_bench_directory_with_schema_warnings() {
     std::fs::write(dir.join("BENCH_BROKEN.json"), "{not json").expect("broken file");
     std::fs::write(dir.join("NOTES.json"), r#"{"ignored":true}"#).expect("decoy file");
 
-    let benches = utk::report::load_bench_dir(&dir).expect("scan succeeds");
+    let benches = utk::report::load_bench_dir(dir.path()).expect("scan succeeds");
     let names: Vec<&str> = benches.iter().map(|b| b.name.as_str()).collect();
     // Sorted, decoy excluded.
     assert_eq!(
@@ -391,7 +372,6 @@ fn report_loads_a_bench_directory_with_schema_warnings() {
     assert!(md.contains("### `BENCH_GOOD.json`"));
     assert!(md.contains("| `x` | `y` |"), "rows table rendered: {md}");
     assert!(md.contains("> **warning:**"));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -399,7 +379,7 @@ fn report_binary_renders_checked_in_figures_and_a_live_server() {
     // The repo's own BENCH_*.json files (all stamped schema_version 1)
     // must render warning-free, and a live scrape must fold in.
     let dir = fixture_dir("report_live");
-    let mut config = ServerConfig::new(Bind::Tcp(0), dir.clone());
+    let mut config = ServerConfig::new(Bind::Tcp(0), dir.path().to_path_buf());
     config.pool_threads = 1;
     let handle = Server::bind(config).expect("bind").spawn();
     let port = match handle.bind_addr() {
@@ -453,5 +433,4 @@ fn report_binary_renders_checked_in_figures_and_a_live_server() {
 
     conn.round_trip(r#"{"op":"shutdown"}"#).expect("shutdown");
     handle.join().expect("server exits");
-    let _ = std::fs::remove_dir_all(&dir);
 }

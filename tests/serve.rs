@@ -3,7 +3,7 @@
 //! under concurrency, and the protocol ops.
 
 use std::io::Read;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -14,6 +14,7 @@ use utk::server::client::{BatchReply, Connection};
 use utk::server::proto::{code, Request, Response};
 use utk::server::server::{Bind, Server, ServerConfig};
 use utk::server::spec;
+use utk_testdir::TestDir;
 
 const HOTELS_CSV: &str = "\
 hotel,service,cleanliness,location
@@ -41,9 +42,8 @@ utk2 --k 2 --center 0.25,0.15 --width 0.2 --algo jaa
 
 /// A fresh fixture directory holding a `hotels` dataset; `extra`
 /// adds more `<name>.csv` files.
-fn datasets_dir(tag: &str, extra: &[(&str, String)]) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("utk_serve_test_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+fn datasets_dir(tag: &str, extra: &[(&str, String)]) -> TestDir {
+    let dir = TestDir::new(&format!("serve_{tag}"));
     std::fs::write(dir.join("hotels.csv"), HOTELS_CSV).unwrap();
     for (name, text) in extra {
         std::fs::write(dir.join(format!("{name}.csv")), text).unwrap();
@@ -115,7 +115,8 @@ fn assert_exits_cleanly(mut child: Child, within: Duration) {
 #[cfg(unix)]
 #[test]
 fn serving_is_byte_identical_to_batch() {
-    let dir = datasets_dir("e2e", &[]);
+    let fixture = datasets_dir("e2e", &[]);
+    let dir = fixture.path().to_path_buf();
     let socket = dir.join("utk.sock");
     let qfile = dir.join("queries.txt");
     std::fs::write(&qfile, QUERY_FILE).unwrap();
@@ -193,7 +194,8 @@ fn serving_is_byte_identical_to_batch() {
 fn admission_control_sheds_load_with_busy_errors() {
     let anti = generate(Distribution::Anti, 1500, 3, 42);
     let anti_csv = utk::data::csv::write_csv(&anti, None);
-    let dir = datasets_dir("busy", &[("anti", anti_csv.clone())]);
+    let fixture = datasets_dir("busy", &[("anti", anti_csv.clone())]);
+    let dir = fixture.path().to_path_buf();
     let socket = dir.join("busy.sock");
 
     let mut config = ServerConfig::new(Bind::Unix(socket.clone()), dir.clone());
@@ -316,7 +318,8 @@ fn client_rejects_file_op_combination() {
 #[cfg(unix)]
 #[test]
 fn bind_refuses_live_socket_and_reclaims_stale_one() {
-    let dir = datasets_dir("bindrace", &[]);
+    let fixture = datasets_dir("bindrace", &[]);
+    let dir = fixture.path().to_path_buf();
     let socket = dir.join("race.sock");
     let first = Server::bind(ServerConfig::new(Bind::Unix(socket.clone()), dir.clone()))
         .expect("first bind")
@@ -347,7 +350,8 @@ fn bind_refuses_live_socket_and_reclaims_stale_one() {
 /// accounting, evict, empty batches, and typed error codes.
 #[test]
 fn protocol_ops_and_error_codes() {
-    let dir = datasets_dir("proto", &[]);
+    let fixture = datasets_dir("proto", &[]);
+    let dir = fixture.path().to_path_buf();
     let handle = Server::bind(ServerConfig::new(Bind::Tcp(0), dir))
         .expect("bind")
         .spawn();
@@ -482,7 +486,8 @@ fn protocol_ops_and_error_codes() {
 /// behavior silently reverted to the disk CSV, losing every update.
 #[test]
 fn update_op_mutates_answers_and_evict_refuses_to_lose_them() {
-    let dir = datasets_dir("update", &[]);
+    let fixture = datasets_dir("update", &[]);
+    let dir = fixture.path().to_path_buf();
     let handle = Server::bind(ServerConfig::new(Bind::Tcp(0), dir))
         .expect("bind")
         .spawn();
@@ -608,7 +613,8 @@ fn update_op_mutates_answers_and_evict_refuses_to_lose_them() {
 #[cfg(unix)]
 #[test]
 fn wal_backed_evict_and_restart_replay_updates() {
-    let dir = datasets_dir("wal_e2e", &[]);
+    let fixture = datasets_dir("wal_e2e", &[]);
+    let dir = fixture.path().to_path_buf();
     let wal_dir = dir.join("wal");
     let socket = dir.join("wal.sock");
     let server = spawn_serve(&dir, &socket, &["--wal-dir", wal_dir.to_str().unwrap()]);
@@ -687,10 +693,11 @@ fn wal_backed_evict_and_restart_replay_updates() {
 fn update_redeals_the_shared_budget_as_sizes_change() {
     use utk::server::DatasetRegistry;
     let anti = generate(Distribution::Anti, 200, 3, 7);
-    let dir = datasets_dir(
+    let fixture = datasets_dir(
         "redeal",
         &[("anti", utk::data::csv::write_csv(&anti, None))],
     );
+    let dir = fixture.path().to_path_buf();
     const BUDGET: usize = 1 << 20;
     let registry = DatasetRegistry::new(dir, BUDGET, 1);
     let (hotels, _) = registry.get_or_load("hotels").unwrap();
@@ -722,7 +729,8 @@ fn update_redeals_the_shared_budget_as_sizes_change() {
 #[cfg(unix)]
 #[test]
 fn update_binary_and_mutation_replay_agree() {
-    let dir = datasets_dir("update_bin", &[]);
+    let fixture = datasets_dir("update_bin", &[]);
+    let dir = fixture.path().to_path_buf();
     let socket = dir.join("utk.sock");
     let serve = spawn_serve(&dir, &socket, &[]);
     let sock = socket.to_str().unwrap();

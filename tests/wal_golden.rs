@@ -12,6 +12,7 @@
 //! (and a migration story for logs already written).
 
 use utk::data::wal::{WalFile, WalRecord};
+use utk_testdir::TestDir;
 
 /// Hex dump of the complete golden log: the 8-byte magic, then one
 /// framed record per kind. Every payload starts `[kind][epoch:u64 LE]`
@@ -73,8 +74,8 @@ fn golden_records() -> Vec<WalRecord> {
 
 #[test]
 fn wal_log_bytes_are_golden() {
-    let path = std::env::temp_dir().join(format!("utk_wal_golden_{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&path);
+    let dir = TestDir::new("wal_golden");
+    let path = dir.join("log.wal");
 
     // Write the log the way the registry does: compact to a snapshot
     // epoch, then append one mutation per kind.
@@ -93,5 +94,4 @@ fn wal_log_bytes_are_golden() {
     assert_eq!(reopened.truncated_bytes, 0);
     assert_eq!(reopened.records, golden_records());
     assert_eq!(reopened.wal.epoch(), 6);
-    let _ = std::fs::remove_file(&path);
 }
