@@ -230,12 +230,12 @@ impl Method {
             // substrate directly.
             Method::SkUtk2 => {
                 let snap = engine.snapshot();
-                let r = baseline_utk2(snap.points(), snap.tree(), region, k, FilterKind::Skyband);
+                let r = baseline_utk2(snap.store(), snap.tree(), region, k, FilterKind::Skyband);
                 (r.total_regions(), r.stats)
             }
             Method::OnUtk2 => {
                 let snap = engine.snapshot();
-                let r = baseline_utk2(snap.points(), snap.tree(), region, k, FilterKind::Onion);
+                let r = baseline_utk2(snap.store(), snap.tree(), region, k, FilterKind::Onion);
                 (r.total_regions(), r.stats)
             }
         }

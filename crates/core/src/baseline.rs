@@ -14,7 +14,7 @@ use crate::onion::onion_candidates;
 use crate::rsa::Utk1Result;
 use crate::skyband::k_skyband;
 use crate::stats::Stats;
-use utk_geom::Region;
+use utk_geom::{Region, Rows};
 use utk_rtree::RTree;
 
 /// Which filtering step the baseline uses.
@@ -36,8 +36,8 @@ impl FilterKind {
     }
 }
 
-fn filter_candidates(
-    points: &[Vec<f64>],
+fn filter_candidates<R: Rows + ?Sized>(
+    points: &R,
     tree: &RTree,
     k: usize,
     filter: FilterKind,
@@ -54,8 +54,8 @@ fn filter_candidates(
 }
 
 /// Baseline UTK1: filter + per-candidate kSPR in witness mode.
-pub fn baseline_utk1(
-    points: &[Vec<f64>],
+pub fn baseline_utk1<R: Rows + ?Sized>(
+    points: &R,
     tree: &RTree,
     region: &Region,
     k: usize,
@@ -99,8 +99,8 @@ impl BaselineUtk2Result {
 }
 
 /// Baseline UTK2: filter + per-candidate kSPR run to completion.
-pub fn baseline_utk2(
-    points: &[Vec<f64>],
+pub fn baseline_utk2<R: Rows + ?Sized>(
+    points: &R,
     tree: &RTree,
     region: &Region,
     k: usize,

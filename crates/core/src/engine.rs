@@ -386,14 +386,13 @@ impl QueryResult {
     }
 }
 
-/// One scoring's view of the dataset: the (possibly transformed)
-/// points — row layout for the baselines and transforms, flat layout
-/// for the filtering hot path — and their R-tree. Tagged with the
-/// epoch of the dataset snapshot it was derived from.
+/// One scoring's view of the dataset: the transformed records, flat
+/// (the only copy; the baselines read it through
+/// [`Rows`](utk_geom::Rows)), and their R-tree. Tagged with the epoch
+/// of the dataset snapshot it was derived from.
 #[derive(Debug)]
 struct Scored {
     epoch: u64,
-    points: Vec<Vec<f64>>,
     store: PointStore,
     tree: RTree,
 }
@@ -401,13 +400,14 @@ struct Scored {
 impl Scored {
     /// Payload bytes for the scoring cache's budget accounting.
     fn approx_bytes(&self) -> usize {
-        let rows: usize = self
-            .points
-            .iter()
-            .map(|p| std::mem::size_of::<Vec<f64>>() + p.len() * 8)
-            .sum();
-        rows + self.store.approx_bytes() + self.tree.approx_bytes()
+        self.store.approx_bytes() + self.tree.approx_bytes()
     }
+}
+
+/// An STR R-tree packed over the records of `store`.
+fn pack(store: &PointStore) -> RTree {
+    let rows: Vec<&[f64]> = store.iter().collect();
+    RTree::bulk_load(&rows)
 }
 
 /// The spatial index of one dataset version: a tree packed over
@@ -446,20 +446,18 @@ struct DatasetVersion {
     /// engine caches — an entry is only ever served to queries whose
     /// snapshot has the same epoch.
     epoch: u64,
-    /// Live records in id order (row layout: baselines, transforms).
-    points: Vec<Vec<f64>>,
-    /// The same records, flat (the filtering hot path).
-    store: PointStore,
+    /// Live records in id order, flat: the engine's only copy of the
+    /// dataset. Shared with [`UtkEngine::compact`]'s repacked version,
+    /// which changes the index and nothing else.
+    store: Arc<PointStore>,
     /// The spatial index.
     index: TreeIndex,
 }
 
 impl DatasetVersion {
-    fn packed(epoch: u64, points: Vec<Vec<f64>>, tree: Arc<RTree>) -> Self {
-        let store = PointStore::from_rows(&points);
+    fn packed(epoch: u64, store: Arc<PointStore>, tree: Arc<RTree>) -> Self {
         Self {
             epoch,
-            points,
             store,
             index: TreeIndex::Packed(tree),
         }
@@ -480,9 +478,7 @@ impl DatasetVersion {
     fn packed_tree(&self) -> &RTree {
         match &self.index {
             TreeIndex::Packed(tree) => tree,
-            TreeIndex::Overlay { packed, .. } => {
-                packed.get_or_init(|| Arc::new(RTree::bulk_load(&self.points)))
-            }
+            TreeIndex::Overlay { packed, .. } => packed.get_or_init(|| Arc::new(pack(&self.store))),
         }
     }
 }
@@ -497,12 +493,8 @@ pub struct DatasetSnapshot {
 }
 
 impl DatasetSnapshot {
-    /// The records of this version, in id order.
-    pub fn points(&self) -> &[Vec<f64>] {
-        &self.version.points
-    }
-
-    /// The flat layout of the same records.
+    /// The records of this version, in id order (flat; read rows with
+    /// [`PointStore::point`] or through [`Rows`](utk_geom::Rows)).
     pub fn store(&self) -> &PointStore {
         &self.version.store
     }
@@ -520,7 +512,7 @@ impl DatasetSnapshot {
 
     /// Number of records in this version.
     pub fn len(&self) -> usize {
-        self.version.points.len()
+        self.version.store.len()
     }
 
     /// Never true: engines never hold an empty dataset.
@@ -903,6 +895,16 @@ fn cached_superset(
         .map(|(ck, entry)| (ck.clone(), Arc::clone(&entry.cands)))
 }
 
+/// Renumbers a cached candidate set's ids through a mutation's
+/// `shift` (old id → new id), in place unless an in-flight query still
+/// holds the set: its points and graph are indexed by candidate
+/// position, not by id, so nothing else changes.
+fn renumber(cands: &mut Arc<CandidateSet>, shift: &[u32]) {
+    for id in &mut Arc::make_mut(cands).ids {
+        *id = shift[*id as usize];
+    }
+}
+
 /// The filter stats of an exact cache hit on `cands`.
 fn hit_stats(cands: &CandidateSet, filter_cache_bytes: usize) -> Stats {
     let mut stats = Stats::new();
@@ -922,14 +924,7 @@ enum DataRef {
 }
 
 impl DataRef {
-    fn points(&self) -> &[Vec<f64>] {
-        match self {
-            DataRef::Snapshot(v) => &v.points,
-            DataRef::Transformed(s) => &s.points,
-        }
-    }
-
-    /// The flat layout of the same dataset (the filtering hot path).
+    /// The records of the (possibly transformed) dataset, flat.
     fn store(&self) -> &PointStore {
         match self {
             DataRef::Snapshot(v) => &v.store,
@@ -1106,7 +1101,7 @@ struct EngineInner {
     data: RwLock<Arc<DatasetVersion>>,
     /// Serializes mutators ([`UtkEngine::apply_update`],
     /// [`UtkEngine::compact`]) so they can build the next version
-    /// (point copies, store, possibly an R-tree bulk load) without
+    /// (the flat store copy, possibly an R-tree bulk load) without
     /// holding the `data` write lock — queries keep snapshotting
     /// freely while a mutation prepares.
     mutation: Mutex<()>,
@@ -1175,9 +1170,16 @@ pub struct UtkEngine {
 }
 
 impl UtkEngine {
-    /// Builds an engine owning `points`: validates the dataset and
-    /// bulk-loads the R-tree.
+    /// Builds an engine from `points`: validates the dataset and
+    /// bulk-loads the R-tree. The engine keeps its own flat copy, so
+    /// this is [`UtkEngine::from_slice`] with the rows dropped after.
     pub fn new(points: Vec<Vec<f64>>) -> Result<Self, UtkError> {
+        Self::from_slice(&points)
+    }
+
+    /// Builds an engine from borrowed rows, copying them once into the
+    /// engine's flat store.
+    pub fn from_slice(points: &[Vec<f64>]) -> Result<Self, UtkError> {
         if points.is_empty() {
             return Err(UtkError::EmptyDataset);
         }
@@ -1185,7 +1187,7 @@ impl UtkEngine {
         if dim < 2 {
             return Err(UtkError::DatasetTooFlat { got: dim });
         }
-        for p in &points {
+        for p in points {
             if p.len() != dim {
                 return Err(UtkError::DimensionMismatch {
                     what: "record",
@@ -1197,8 +1199,9 @@ impl UtkEngine {
                 return Err(UtkError::NonFiniteInput { what: "dataset" });
             }
         }
-        let tree = Arc::new(RTree::bulk_load(&points));
-        let version = DatasetVersion::packed(0, points, tree);
+        let tree = Arc::new(RTree::bulk_load(points));
+        let store = Arc::new(PointStore::from_rows(points));
+        let version = DatasetVersion::packed(0, store, tree);
         Ok(Self {
             inner: Arc::new(EngineInner {
                 data: RwLock::new(Arc::new(version)),
@@ -1221,11 +1224,6 @@ impl UtkEngine {
                 clock: Arc::new(MonotonicClock::new()),
             }),
         })
-    }
-
-    /// Builds an engine from borrowed points (cloned in).
-    pub fn from_slice(points: &[Vec<f64>]) -> Result<Self, UtkError> {
-        Self::new(points.to_vec())
     }
 
     /// Disables the r-skyband/scoring memoization: every query
@@ -1400,7 +1398,7 @@ impl UtkEngine {
 
     /// Number of live records.
     pub fn len(&self) -> usize {
-        self.current().points.len()
+        self.current().store.len()
     }
 
     /// Always false: empty datasets are rejected at construction and
@@ -1415,7 +1413,7 @@ impl UtkEngine {
     }
 
     /// A coherent read-only view of the current dataset version:
-    /// points, flat store, packed R-tree and epoch. The snapshot
+    /// flat records, packed R-tree and epoch. The snapshot
     /// stays valid (and internally consistent) across concurrent
     /// mutations.
     pub fn snapshot(&self) -> DatasetSnapshot {
@@ -1505,14 +1503,14 @@ impl UtkEngine {
             }
         }
         // Serialize mutators without blocking queries: the heavy
-        // construction below (row copies, flat store, possibly an
-        // R-tree bulk load) runs under the mutation lock only;
+        // construction below (the flat store copy, possibly an R-tree
+        // bulk load) runs under the mutation lock only;
         // `current()` keeps serving snapshots throughout, and the
         // `data` write lock is taken just for the cache re-key +
         // version swap at the end.
         let _mutating = self.inner.mutation.lock().expect("mutation lock");
         let cur = self.current();
-        let n = cur.points.len();
+        let n = cur.store.len();
         let mut deleted_mask = vec![false; n];
         for &id in deletes {
             if (id as usize) >= n {
@@ -1541,15 +1539,15 @@ impl UtkEngine {
 
         // Dense renumbering of the survivors: old id → new id.
         let mut shift = vec![TOMBSTONE; n];
-        let mut new_points: Vec<Vec<f64>> = Vec::with_capacity(n - deletes.len() + inserts.len());
-        for (i, p) in cur.points.iter().enumerate() {
-            if !deleted_mask[i] {
-                shift[i] = new_points.len() as u32;
-                new_points.push(p.clone());
+        let mut survivors = 0u32;
+        for (slot, &gone) in shift.iter_mut().zip(&deleted_mask) {
+            if !gone {
+                *slot = survivors;
+                survivors += 1;
             }
         }
-        let first_inserted = new_points.len() as u32;
-        new_points.extend(inserts.iter().cloned());
+        let first_inserted = survivors;
+        let store = Arc::new(cur.store.spliced(&deleted_mask, &inserts));
         let epoch = cur.epoch + 1;
 
         // Compose the index overlay (or rebuild past the threshold).
@@ -1584,10 +1582,10 @@ impl UtkEngine {
             .as_ref()
             .map_or(0, |m| m.iter().filter(|&&id| id == TOMBSTONE).count());
         let overhead = dead + extra.len();
-        let rebuild = overhead * OVERLAY_REBUILD_DEN > new_points.len() * OVERLAY_REBUILD_NUM;
+        let rebuild = overhead * OVERLAY_REBUILD_DEN > store.len() * OVERLAY_REBUILD_NUM;
         let index = if rebuild {
             self.inner.index_rebuilds.fetch_add(1, Ordering::Relaxed);
-            TreeIndex::Packed(Arc::new(RTree::bulk_load(&new_points)))
+            TreeIndex::Packed(Arc::new(pack(&store)))
         } else {
             TreeIndex::Overlay {
                 base,
@@ -1597,10 +1595,8 @@ impl UtkEngine {
             }
         };
 
-        let store = PointStore::from_rows(&new_points);
         let next = Arc::new(DatasetVersion {
             epoch,
-            points: new_points,
             store,
             index,
         });
@@ -1629,7 +1625,7 @@ impl UtkEngine {
         self.inner.scoring_cache.lock().expect("cache lock").clear();
         let report = UpdateReport {
             epoch,
-            n: next.points.len(),
+            n: next.store.len(),
             inserted: inserts.len(),
             deleted: deletes.len(),
             filter_invalidated,
@@ -1668,7 +1664,7 @@ impl UtkEngine {
         let mut invalidated = 0;
         let mut retained = 0;
         let mut repaired = 0;
-        for (key, entry, bytes) in cache.take_entries() {
+        for (key, mut entry, bytes) in cache.take_entries() {
             // Stragglers inserted by in-flight queries on older
             // snapshots are unreachable already; drop them without
             // counting — this mutation never evaluated them, so they
@@ -1699,24 +1695,9 @@ impl UtkEngine {
                 }
             }
             if !member_deleted && !scoring_blocked && live_inserts.is_empty() {
-                let entry = if deletes.is_empty() {
-                    entry // ids unchanged: reuse the cached set as-is
-                } else {
-                    let cands = Arc::new(CandidateSet {
-                        ids: entry
-                            .cands
-                            .ids
-                            .iter()
-                            .map(|&id| shift[id as usize])
-                            .collect(),
-                        points: entry.cands.points.clone(),
-                        graph: entry.cands.graph.clone(),
-                    });
-                    FilterEntry {
-                        region: entry.region.clone(),
-                        cands,
-                    }
-                };
+                if !deletes.is_empty() {
+                    renumber(&mut entry.cands, shift);
+                }
                 let key = FilterKey {
                     epoch: new_epoch,
                     ..key
@@ -1754,24 +1735,11 @@ impl UtkEngine {
                     // No member deleted: renumber the survivors, then
                     // merge-splice the admissible inserts in without
                     // touching the tree.
-                    let renumbered;
-                    let cands: &CandidateSet = if deletes.is_empty() {
-                        &entry.cands
-                    } else {
-                        renumbered = CandidateSet {
-                            ids: entry
-                                .cands
-                                .ids
-                                .iter()
-                                .map(|&id| shift[id as usize])
-                                .collect(),
-                            points: entry.cands.points.clone(),
-                            graph: entry.cands.graph.clone(),
-                        };
-                        &renumbered
-                    };
+                    if !deletes.is_empty() {
+                        renumber(&mut entry.cands, shift);
+                    }
                     r_skyband_repair_inserts_with_kernel(
-                        cands,
+                        &entry.cands,
                         &live_inserts,
                         &next.store,
                         &entry.region,
@@ -1787,7 +1755,7 @@ impl UtkEngine {
                         .fetch_add(rstats.rdom_tests, Ordering::Relaxed);
                     self.inner.filter_repairs.fetch_add(1, Ordering::Relaxed);
                     let entry = FilterEntry {
-                        region: entry.region.clone(),
+                        region: entry.region,
                         cands: Arc::new(cands),
                     };
                     let bytes = entry.approx_bytes();
@@ -1819,8 +1787,12 @@ impl UtkEngine {
         self.inner.index_rebuilds.fetch_add(1, Ordering::Relaxed);
         // Build outside the data lock (queries keep snapshotting);
         // swap under a momentary write lock.
-        let tree = Arc::new(RTree::bulk_load(&cur.points));
-        let next = Arc::new(DatasetVersion::packed(cur.epoch, cur.points.clone(), tree));
+        let tree = Arc::new(pack(&cur.store));
+        let next = Arc::new(DatasetVersion::packed(
+            cur.epoch,
+            Arc::clone(&cur.store),
+            tree,
+        ));
         *self.inner.data.write().expect("dataset lock") = next;
     }
 
@@ -2150,7 +2122,7 @@ impl UtkEngine {
                     FilterKind::Onion
                 };
                 Ok(baseline_utk1(
-                    data.points(),
+                    data.store(),
                     data.packed_tree(),
                     region,
                     query.k,
@@ -2512,17 +2484,15 @@ impl UtkEngine {
                 return Ok(DataRef::Transformed(Arc::clone(hit)));
             }
         }
-        let points = scoring.transform(&snapshot.points);
-        if points.iter().any(|p| p.iter().any(|x| !x.is_finite())) {
+        let store = scoring.transform_store(&snapshot.store);
+        if store.as_flat().iter().any(|x| !x.is_finite()) {
             return Err(UtkError::NonFiniteInput {
                 what: "transformed dataset (scoring function)",
             });
         }
-        let tree = RTree::bulk_load(&points);
-        let store = PointStore::from_rows(&points);
+        let tree = pack(&store);
         let scored = Arc::new(Scored {
             epoch: snapshot.epoch,
-            points,
             store,
             tree,
         });
@@ -2832,6 +2802,55 @@ mod tests {
         let report = engine.apply_update(&[], vec![]).unwrap();
         assert_eq!(report.epoch, 0);
         assert_eq!(engine.dataset_epoch(), 0);
+    }
+
+    /// The one cached filter entry's `CandidateSet` allocation, its
+    /// flat points buffer, and its ids.
+    fn sole_entry(engine: &UtkEngine) -> (*const CandidateSet, *const f64, Vec<u32>) {
+        let cache = engine.inner.filter_cache.lock().unwrap();
+        let entries: Vec<_> = cache.scan().collect();
+        assert_eq!(entries.len(), 1);
+        let cands = &entries[0].1.cands;
+        (
+            Arc::as_ptr(cands),
+            cands.points.as_flat().as_ptr(),
+            cands.ids.clone(),
+        )
+    }
+
+    #[test]
+    fn rekey_renumbers_a_retained_entry_in_place() {
+        let engine = UtkEngine::new(figure1_hotels()).unwrap();
+        let utk1 = UtkQuery::utk1(2).region(figure1_region());
+        engine.run(&utk1).unwrap();
+        let (set, points, ids) = sole_entry(&engine);
+        // p5 (id 4) is not a member; members above it shift down.
+        assert!(!ids.contains(&4) && ids.iter().any(|&id| id > 4));
+
+        let report = engine.delete_points(&[4]).unwrap();
+        assert_eq!((report.filter_retained, report.filter_repaired), (1, 0));
+        let (set_after, points_after, ids_after) = sole_entry(&engine);
+        assert!(std::ptr::eq(set, set_after), "entry was copied");
+        assert!(std::ptr::eq(points, points_after), "points were copied");
+        let shifted: Vec<u32> = ids.iter().map(|&id| id - u32::from(id > 4)).collect();
+        assert_eq!(ids_after, shifted);
+
+        // Answers off the renumbered entry equal a fresh build's,
+        // byte for byte on the wire (engine-history stats aside).
+        let mut rows = figure1_hotels();
+        rows.remove(4);
+        let fresh = UtkEngine::new(rows).unwrap();
+        let utk2 = UtkQuery::utk2(2).region(figure1_region());
+        for query in [&utk1, &utk2] {
+            let line = |engine: &UtkEngine| {
+                let mut result = engine.run(query).unwrap();
+                *result.stats_mut() = Stats::new();
+                let name = |id: u32| format!("#{id}");
+                crate::wire::result_json(&result, 2, Algo::Auto, 6, 3, &[], &name)
+            };
+            assert_eq!(line(&engine), line(&fresh));
+        }
+        assert_eq!(engine.filter_cache_counters().0, 2);
     }
 
     #[test]

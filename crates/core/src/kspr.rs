@@ -21,7 +21,7 @@
 //!   whether a witness cell survived.
 
 use crate::stats::Stats;
-use utk_geom::{Arrangement, CellId, Halfspace, Region};
+use utk_geom::{Arrangement, CellId, Halfspace, Region, Rows};
 
 /// Output mode of a kSPR call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,8 +46,8 @@ pub struct KsprResult {
 
 /// Runs kSPR for record `focal` (an index into `points`) against all
 /// other records, constrained to `region`.
-pub fn kspr(
-    points: &[Vec<f64>],
+pub fn kspr<R: Rows + ?Sized>(
+    points: &R,
     focal: usize,
     region: &Region,
     k: usize,
@@ -55,14 +55,15 @@ pub fn kspr(
     stats: &mut Stats,
 ) -> KsprResult {
     stats.kspr_calls += 1;
-    let p = &points[focal];
+    let p = points.row(focal);
     // utk-lint: allow(panic) -- invariant: callers pass the validated non-empty query region
     let pivot = region.pivot().expect("non-empty region");
 
     // Classify every competitor by the range of S(q) − S(p) over R.
     let mut base = 0usize; // competitors beating p everywhere in R
     let mut straddlers: Vec<(u32, f64)> = Vec::new();
-    for (qi, q) in points.iter().enumerate() {
+    for qi in 0..points.len() {
+        let q = points.row(qi);
         if qi == focal {
             continue;
         }
@@ -112,15 +113,13 @@ pub fn kspr(
             // Degenerate R: decide at the pivot directly (score order
             // with the id tie-break).
             let sp = utk_geom::pref_score(p, &pivot);
-            let above = points
-                .iter()
-                .enumerate()
-                .filter(|(qi, q)| {
-                    if *qi == focal {
+            let above = (0..points.len())
+                .filter(|&qi| {
+                    if qi == focal {
                         return false;
                     }
-                    let sq = utk_geom::pref_score(q, &pivot);
-                    sq > sp + 1e-12 || ((sq - sp).abs() <= 1e-12 && *qi < focal)
+                    let sq = utk_geom::pref_score(points.row(qi), &pivot);
+                    sq > sp + 1e-12 || ((sq - sp).abs() <= 1e-12 && qi < focal)
                 })
                 .count();
             let qualified = above < k;
@@ -137,7 +136,7 @@ pub fn kspr(
     stats.arrangements_built += 1;
 
     for &(q, _) in &straddlers {
-        let hs = Halfspace::beats(&points[q as usize], p);
+        let hs = Halfspace::beats(points.row(q as usize), p);
         arr.insert(hs, q);
         stats.halfspaces_inserted += 1;
         let dead: Vec<CellId> = arr

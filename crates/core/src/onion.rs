@@ -13,15 +13,16 @@
 //! top-1 witness weight vector exists for it).
 
 use utk_geom::hull::{hull_membership, upper_hull_2d};
+use utk_geom::Rows;
 
 /// Computes the first `k` onion layers over `candidates` (record
 /// indices into `points`). Returns the layers in order; records not in
 /// any of the `k` layers are dropped.
-pub fn onion_layers(points: &[Vec<f64>], candidates: &[u32], k: usize) -> Vec<Vec<u32>> {
+pub fn onion_layers<R: Rows + ?Sized>(points: &R, candidates: &[u32], k: usize) -> Vec<Vec<u32>> {
     let d = if points.is_empty() {
         0
     } else {
-        points[0].len()
+        points.row(0).len()
     };
     let mut active: Vec<u32> = candidates.to_vec();
     let mut layers = Vec::with_capacity(k);
@@ -32,7 +33,7 @@ pub fn onion_layers(points: &[Vec<f64>], candidates: &[u32], k: usize) -> Vec<Ve
         let layer: Vec<u32> = if d == 2 {
             let pts: Vec<(f64, f64)> = active
                 .iter()
-                .map(|&i| (points[i as usize][0], points[i as usize][1]))
+                .map(|&i| (points.row(i as usize)[0], points.row(i as usize)[1]))
                 .collect();
             upper_hull_2d(&pts)
                 .into_iter()
@@ -60,7 +61,7 @@ pub fn onion_layers(points: &[Vec<f64>], candidates: &[u32], k: usize) -> Vec<Ve
 }
 
 /// Union of the first `k` onion layers, ascending.
-pub fn onion_candidates(points: &[Vec<f64>], candidates: &[u32], k: usize) -> Vec<u32> {
+pub fn onion_candidates<R: Rows + ?Sized>(points: &R, candidates: &[u32], k: usize) -> Vec<u32> {
     let mut out: Vec<u32> = onion_layers(points, candidates, k)
         .into_iter()
         .flatten()

@@ -18,7 +18,7 @@
 
 use crate::jaa::{jaa, JaaOptions, Utk2Result};
 use crate::rsa::{rsa, RsaOptions, Utk1Result};
-use utk_geom::Region;
+use utk_geom::{PointStore, Region};
 
 /// A monotone non-decreasing per-attribute transform.
 #[derive(Debug, Clone, Copy)]
@@ -89,6 +89,19 @@ impl GeneralScoring {
     /// Transforms a dataset (one pass; UTK then runs unchanged).
     pub fn transform(&self, points: &[Vec<f64>]) -> Vec<Vec<f64>> {
         points.iter().map(|p| self.transform_record(p)).collect()
+    }
+
+    /// Transforms a flat store into a flat store, value by value (the
+    /// engine's path: no per-record allocation).
+    pub fn transform_store(&self, store: &PointStore) -> PointStore {
+        debug_assert_eq!(store.dim(), self.transforms.len());
+        let data = store
+            .as_flat()
+            .iter()
+            .zip(self.transforms.iter().cycle())
+            .map(|(&x, t)| t.apply(x))
+            .collect();
+        PointStore::from_flat(data, store.dim())
     }
 
     /// A hashable identity for engine-side memoization: one `(tag,
@@ -173,6 +186,14 @@ mod tests {
         (0..n)
             .map(|_| (0..d).map(|_| rng.gen_range(0.0..1.0)).collect())
             .collect()
+    }
+
+    #[test]
+    fn transform_store_matches_the_row_transform() {
+        let pts = random_points(50, 3, 4);
+        let scoring = GeneralScoring::weighted_lp(2.5, 3);
+        let flat = scoring.transform_store(&PointStore::from_rows(&pts));
+        assert_eq!(flat, PointStore::from_rows(&scoring.transform(&pts)));
     }
 
     #[test]

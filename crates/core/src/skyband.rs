@@ -69,8 +69,8 @@ use crate::rdominance::{
 };
 use crate::stats::Stats;
 use utk_geom::{
-    f32_down, pref_score, score_upper_bound, PointStore, PointStoreBuilder, Region, ScorePanel,
-    SCORE_LANES,
+    f32_down, pref_score, score_upper_bound, PointStore, PointStoreBuilder, Region, Rows,
+    ScorePanel, SCORE_LANES,
 };
 use utk_rtree::RTree;
 
@@ -205,19 +205,24 @@ pub(crate) fn prefilter(
 /// Classical k-skyband via BBS: ids of records dominated by fewer
 /// than `k` others. Heap key: coordinate sum (a monotone surrogate of
 /// the distance-to-top-corner order of the original BBS).
-pub fn k_skyband(points: &[Vec<f64>], tree: &RTree, k: usize, stats: &mut Stats) -> Vec<u32> {
+pub fn k_skyband<R: Rows + ?Sized>(
+    points: &R,
+    tree: &RTree,
+    k: usize,
+    stats: &mut Stats,
+) -> Vec<u32> {
     let mut band: Vec<u32> = Vec::new();
     let sum = |p: &[f64]| p.iter().sum::<f64>();
     tree.search_descending(
         |mbb| sum(&mbb.hi),
-        |id| sum(&points[id as usize]),
+        |id| sum(points.row(id as usize)),
         |id, _| {
             stats.bbs_pops += 1;
-            let p = &points[id as usize];
+            let p = points.row(id as usize);
             let mut count = 0;
             for &m in &band {
                 stats.rdom_tests += 1;
-                if dominates(&points[m as usize], p) {
+                if dominates(points.row(m as usize), p) {
                     count += 1;
                     if count >= k {
                         break;

@@ -31,22 +31,37 @@ impl CsvData {
         }
     }
 
+    /// Checks a dataset mutation against this payload without applying
+    /// it: succeeds exactly when [`CsvData::apply_update`] would, and
+    /// fails with the same message. The server registry checks first,
+    /// logs and commits the engine, and only then applies in place.
+    pub fn check_update(
+        &self,
+        deletes: &[u32],
+        inserts: &[Vec<f64>],
+        insert_labels: Option<&[String]>,
+    ) -> Result<(), String> {
+        self.deleted_mask(deletes, inserts, insert_labels).map(drop)
+    }
+
     /// Applies a dataset mutation to the parsed payload, mirroring
     /// `UtkEngine::apply_update` semantics exactly: rows named by
     /// `deletes` (validated ids, applied simultaneously) are removed
     /// with survivors keeping their order, then `inserts` are
-    /// appended. Labels move with their rows.
+    /// appended. Labels move with their rows. The rows are moved in
+    /// place, never cloned.
     ///
     /// Label policy: a labeled dataset requires one label per
     /// inserted row (and rejects duplicates — labels are record ids);
     /// an unlabeled one rejects labels. Errors leave the data
-    /// unchanged.
+    /// unchanged: every rule is checked ([`CsvData::check_update`])
+    /// before anything moves.
     ///
     /// NOTE: the id/dimension/finiteness checks here deliberately
     /// mirror `UtkEngine::apply_update` (utk-core), which cannot be
-    /// referenced from this crate. The server registry stages this
-    /// method *before* the engine mutation and discards the staging
-    /// if the engine rejects, so a divergence between the two
+    /// referenced from this crate. The server registry checks this
+    /// payload *before* the engine mutation and applies it only after
+    /// the engine committed, so a divergence between the two
     /// validators degrades to a spurious error, never to labels and
     /// rows going out of step — but keep them in agreement anyway.
     pub fn apply_update(
@@ -55,6 +70,24 @@ impl CsvData {
         inserts: &[Vec<f64>],
         insert_labels: Option<&[String]>,
     ) -> Result<(), String> {
+        let deleted = self.deleted_mask(deletes, inserts, insert_labels)?;
+        retain_unflagged(&mut self.dataset.points, &deleted);
+        self.dataset.points.extend_from_slice(inserts);
+        if let Some(labels) = &mut self.labels {
+            retain_unflagged(labels, &deleted);
+            labels.extend_from_slice(insert_labels.unwrap_or(&[]));
+        }
+        Ok(())
+    }
+
+    /// Every rule of [`CsvData::apply_update`], in order; on success,
+    /// the per-row delete flags.
+    fn deleted_mask(
+        &self,
+        deletes: &[u32],
+        inserts: &[Vec<f64>],
+        insert_labels: Option<&[String]>,
+    ) -> Result<Vec<bool>, String> {
         let dim = self.dataset.dim();
         for row in inserts {
             if row.len() != dim {
@@ -78,7 +111,7 @@ impl CsvData {
             }
             deleted[id as usize] = true;
         }
-        let new_labels = match (&self.labels, insert_labels) {
+        match (&self.labels, insert_labels) {
             (Some(_), None) if !inserts.is_empty() => {
                 return Err("dataset has a label column; supply one label per inserted row".into())
             }
@@ -96,38 +129,32 @@ impl CsvData {
                         provided.len()
                     ));
                 }
-                let mut kept: Vec<String> = existing
+                let mut seen: std::collections::HashSet<&str> = existing
                     .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !deleted[*i])
-                    .map(|(_, l)| l.clone())
+                    .zip(&deleted)
+                    .filter(|(_, &gone)| !gone)
+                    .map(|(l, _)| l.as_str())
                     .collect();
-                let mut seen: std::collections::HashSet<&str> =
-                    kept.iter().map(String::as_str).collect();
                 for label in provided {
                     if !seen.insert(label.as_str()) {
                         return Err(format!("duplicate record label {label:?}"));
                     }
                 }
-                kept.extend(provided.iter().cloned());
-                Some(kept)
             }
-            (None, None) => None,
-        };
-        let mut points: Vec<Vec<f64>> = Vec::with_capacity(n - deletes.len() + inserts.len());
-        for (i, p) in self.dataset.points.iter().enumerate() {
-            if !deleted[i] {
-                points.push(p.clone());
-            }
+            (None, None) => {}
         }
-        points.extend(inserts.iter().cloned());
-        if points.is_empty() {
+        if n - deletes.len() + inserts.len() == 0 {
             return Err("update would leave the dataset empty".into());
         }
-        self.dataset.points = points;
-        self.labels = new_labels;
-        Ok(())
+        Ok(deleted)
     }
+}
+
+/// Drops the entries of `v` flagged in `deleted` (one flag per entry);
+/// survivors keep their order and are moved, not cloned.
+fn retain_unflagged<T>(v: &mut Vec<T>, deleted: &[bool]) {
+    let mut gone = deleted.iter();
+    v.retain(|_| gone.next() != Some(&true));
 }
 
 /// Parsing failure with a line number.
@@ -270,6 +297,7 @@ pub fn write_csv(ds: &Dataset, labels: Option<&[String]>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn plain_numeric_rows() {
@@ -372,32 +400,101 @@ mod tests {
     fn apply_update_rejections_leave_data_unchanged() {
         let mut d = parse_csv("a,1,2\nb,3,4\n", "t").unwrap();
         let before = d.dataset.points.clone();
+        let mut rejects = |deletes: &[u32], inserts: &[Vec<f64>], labels: Option<&[String]>| {
+            let checked = d.check_update(deletes, inserts, labels);
+            assert!(checked.is_err(), "{deletes:?} {inserts:?} {labels:?}");
+            assert_eq!(checked, d.apply_update(deletes, inserts, labels));
+        };
+        let a = ["a".to_string()];
+        let x = ["x".to_string()];
         // Unknown id, duplicate delete, missing labels, duplicate
         // label, ragged row, non-finite row, emptying update.
-        assert!(d.apply_update(&[9], &[], None).is_err());
-        assert!(d.apply_update(&[0, 0], &[], None).is_err());
-        assert!(d.apply_update(&[], &[vec![1.0, 1.0]], None).is_err());
-        assert!(d
-            .apply_update(&[], &[vec![1.0, 1.0]], Some(&["a".to_string()]))
-            .is_err());
-        assert!(d
-            .apply_update(&[], &[vec![1.0]], Some(&["x".to_string()]))
-            .is_err());
-        assert!(d
-            .apply_update(&[], &[vec![f64::NAN, 1.0]], Some(&["x".to_string()]))
-            .is_err());
-        assert!(d.apply_update(&[0, 1], &[], None).is_err());
+        rejects(&[9], &[], None);
+        rejects(&[0, 0], &[], None);
+        rejects(&[], &[vec![1.0, 1.0]], None);
+        rejects(&[], &[vec![1.0, 1.0]], Some(&a));
+        rejects(&[], &[vec![1.0]], Some(&x));
+        rejects(&[], &[vec![f64::NAN, 1.0]], Some(&x));
+        rejects(&[0, 1], &[], None);
         assert_eq!(d.dataset.points, before);
         assert_eq!(d.name(1), "b");
 
         // An unlabeled dataset takes unlabeled inserts only.
         let mut plain = parse_csv("1,2\n3,4\n", "t").unwrap();
         assert!(plain
-            .apply_update(&[], &[vec![5.0, 6.0]], Some(&["x".to_string()]))
+            .check_update(&[], &[vec![5.0, 6.0]], Some(&x))
             .is_err());
+        assert!(plain
+            .apply_update(&[], &[vec![5.0, 6.0]], Some(&x))
+            .is_err());
+        plain.check_update(&[0], &[vec![5.0, 6.0]], None).unwrap();
         plain.apply_update(&[0], &[vec![5.0, 6.0]], None).unwrap();
         assert_eq!(plain.dataset.points, vec![vec![3.0, 4.0], vec![5.0, 6.0]]);
         assert_eq!(plain.name(1), "#1");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `check_update` accepts exactly what `apply_update` accepts,
+        /// with the same message; an accepted in-place update equals
+        /// the rows and labels rebuilt from scratch (survivors in
+        /// order, then the inserts, labels following their rows), and
+        /// a rejected one changes nothing.
+        #[test]
+        fn check_update_agrees_with_apply_update(
+            (n, labeled) in (1usize..7, 0u8..2),
+            deletes in prop::collection::vec(0u32..7, 0..3),
+            inserts in prop::collection::vec(prop::collection::vec(0.0f64..1.0, 3), 0..3),
+            (label_mode, label_picks) in (0u8..3, prop::collection::vec(0usize..9, 0..4)),
+        ) {
+            let labeled = labeled == 1;
+            let text: String = (0..n)
+                .map(|i| {
+                    let label = if labeled { format!("r{i},") } else { String::new() };
+                    format!("{label}{i},{}\n", i * 2)
+                })
+                .collect();
+            let data = parse_csv(&text, "t").unwrap();
+            // The dataset is 2-dimensional: a row whose third value
+            // passes 0.9 keeps it (ragged); values past 0.95 become NaN.
+            let inserts: Vec<Vec<f64>> = inserts
+                .into_iter()
+                .map(|mut row| {
+                    row.truncate(if row[2] > 0.9 { 3 } else { 2 });
+                    row.into_iter().map(|v| if v > 0.95 { f64::NAN } else { v }).collect()
+                })
+                .collect();
+            // Labels from a pool that overlaps the dataset's own names:
+            // none, one per insert, or a list of arbitrary length.
+            let pool = |p: usize| if p < 4 { format!("r{p}") } else { format!("x{}", p % 3) };
+            let labels: Option<Vec<String>> = match label_mode {
+                0 => None,
+                1 => Some(label_picks.iter().cycle().take(inserts.len()).map(|&p| pool(p)).collect()),
+                _ => Some(label_picks.iter().map(|&p| pool(p)).collect()),
+            };
+
+            let checked = data.check_update(&deletes, &inserts, labels.as_deref());
+            let mut applied = data.clone();
+            let result = applied.apply_update(&deletes, &inserts, labels.as_deref());
+            prop_assert_eq!(&checked, &result);
+            if result.is_err() {
+                prop_assert_eq!(&applied.dataset.points, &data.dataset.points);
+                prop_assert_eq!(&applied.labels, &data.labels);
+                continue;
+            }
+            let survivors = (0..n).filter(|i| !deletes.contains(&(*i as u32)));
+            let mut rows: Vec<Vec<f64>> =
+                survivors.clone().map(|i| data.dataset.points[i].clone()).collect();
+            rows.extend(inserts.iter().cloned());
+            prop_assert_eq!(&applied.dataset.points, &rows);
+            let want_labels = data.labels.as_ref().map(|existing| {
+                let mut l: Vec<String> = survivors.map(|i| existing[i].clone()).collect();
+                l.extend(labels.clone().unwrap_or_default());
+                l
+            });
+            prop_assert_eq!(&applied.labels, &want_labels);
+        }
     }
 
     #[test]

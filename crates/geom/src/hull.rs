@@ -14,6 +14,7 @@
 
 use crate::lp::{LinearProgram, LpOutcome};
 use crate::pref::{pref_score, pref_score_delta};
+use crate::store::Rows;
 use crate::tol::EPS;
 
 /// Indices of the points on the *upper-right* convex chain — the part
@@ -86,8 +87,8 @@ pub fn upper_hull_2d(points: &[(f64, f64)]) -> Vec<usize> {
 /// working set stays near the dimensionality.
 ///
 /// `active` must contain `candidate`.
-pub fn hull_membership<R: AsRef<[f64]>>(data: &[R], active: &[usize], candidate: usize) -> bool {
-    let cand = data[candidate].as_ref();
+pub fn hull_membership<R: Rows + ?Sized>(data: &R, active: &[usize], candidate: usize) -> bool {
+    let cand = data.row(candidate);
     let dp = cand.len() - 1;
 
     // Working set of competitor constraints (indices into `data`).
@@ -108,7 +109,7 @@ pub fn hull_membership<R: AsRef<[f64]>>(data: &[R], active: &[usize], candidate:
         t_cap[dp] = 1.0;
         lp.add_le(t_cap, 1.0);
         for &q in &working {
-            let (a, c0) = pref_score_delta(cand, data[q].as_ref());
+            let (a, c0) = pref_score_delta(cand, data.row(q));
             // a·w + c0 ≥ t  ⇔  −a·w + t ≤ c0
             let mut row: Vec<f64> = a.iter().map(|v| -v).collect();
             row.push(1.0);
@@ -134,7 +135,7 @@ pub fn hull_membership<R: AsRef<[f64]>>(data: &[R], active: &[usize], candidate:
             if q == candidate || in_working[q] {
                 continue;
             }
-            let delta = s_cand - pref_score(data[q].as_ref(), &w);
+            let delta = s_cand - pref_score(data.row(q), &w);
             if delta < -EPS && worst.is_none_or(|(d, _)| delta < d) {
                 worst = Some((delta, q));
             }

@@ -50,4 +50,4 @@ pub use hull::{hull_membership, upper_hull_2d};
 pub use lp::{LinearProgram, LpOutcome};
 pub use pref::{lift_weights, pref_score, pref_score_delta, score, score_upper_bound};
 pub use region::Region;
-pub use store::{f32_down, f32_up, PointStore, PointStoreBuilder, ScorePanel, SCORE_LANES};
+pub use store::{f32_down, f32_up, PointStore, PointStoreBuilder, Rows, ScorePanel, SCORE_LANES};

@@ -13,9 +13,9 @@
 //! * `data.len() == len * dim` always; `dim >= 1` unless the store is
 //!   empty (an empty store may carry any nominal `dim`).
 //! * Rows are immutable after construction: a store is built once
-//!   (from rows, from a flat buffer, or through [`PointStoreBuilder`])
-//!   and then only read. Sharing a store therefore never requires
-//!   locking.
+//!   (from rows, from a flat buffer, by [`PointStore::spliced`] from
+//!   another store, or through [`PointStoreBuilder`]) and then only
+//!   read. Sharing a store therefore never requires locking.
 //! * Indexing yields `&[f64]` slices of length `dim`, so call sites
 //!   written against `Vec<Vec<f64>>` (`&points[i]`) keep working
 //!   unchanged.
@@ -96,10 +96,32 @@ impl PointStore {
         self.data.chunks_exact(self.dim.max(1))
     }
 
-    /// Materializes row vectors (for call sites that still need the
-    /// nested layout, e.g. the classical baselines).
-    pub fn to_rows(&self) -> Vec<Vec<f64>> {
-        self.iter().map(|r| r.to_vec()).collect()
+    /// The store with the rows flagged in `deleted` removed (survivors
+    /// keep their order) and `inserts` appended: each run of surviving
+    /// rows is copied with one `extend_from_slice`, so the cost is one
+    /// flat copy with no per-row allocation.
+    ///
+    /// # Panics
+    /// Panics if `deleted.len() != self.len()` or an insert has the
+    /// wrong dimensionality.
+    pub fn spliced(&self, deleted: &[bool], inserts: &[Vec<f64>]) -> PointStore {
+        assert_eq!(deleted.len(), self.len(), "one delete flag per row");
+        let d = self.dim;
+        let kept = deleted.iter().filter(|&&gone| !gone).count();
+        let mut data = Vec::with_capacity((kept + inserts.len()) * d);
+        let mut run_start = 0;
+        for (i, &gone) in deleted.iter().enumerate() {
+            if gone {
+                data.extend_from_slice(&self.data[run_start * d..i * d]);
+                run_start = i + 1;
+            }
+        }
+        data.extend_from_slice(&self.data[run_start * d..]);
+        for row in inserts {
+            assert_eq!(row.len(), d, "wrong-dimension insert");
+            data.extend_from_slice(row);
+        }
+        PointStore::from_flat(data, d)
     }
 
     /// Heap bytes held by the store (the live-memory accounting used
@@ -121,6 +143,56 @@ impl std::ops::Index<usize> for PointStore {
 impl From<&[Vec<f64>]> for PointStore {
     fn from(rows: &[Vec<f64>]) -> Self {
         Self::from_rows(rows)
+    }
+}
+
+/// Indexed read access to equal-length records, nested
+/// (`[Vec<f64>]`) or flat ([`PointStore`]): lets one algorithm read a
+/// caller's row vectors and the engine's flat store without copying
+/// either into the other layout.
+pub trait Rows {
+    /// Number of records.
+    fn len(&self) -> usize;
+
+    /// Record `i` as a `d`-length slice.
+    fn row(&self, i: usize) -> &[f64];
+
+    /// True when there are no records.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<P: AsRef<[f64]>> Rows for [P] {
+    fn len(&self) -> usize {
+        <[P]>::len(self)
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[f64] {
+        self[i].as_ref()
+    }
+}
+
+impl<P: AsRef<[f64]>> Rows for Vec<P> {
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[f64] {
+        self[i].as_ref()
+    }
+}
+
+impl Rows for PointStore {
+    fn len(&self) -> usize {
+        PointStore::len(self)
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[f64] {
+        self.point(i)
     }
 }
 
@@ -332,13 +404,43 @@ mod tests {
     use super::*;
 
     #[test]
+    fn spliced_drops_flagged_rows_and_appends_inserts() {
+        let rows = vec![
+            vec![1.0, 2.0],
+            vec![3.0, 4.0],
+            vec![5.0, 6.0],
+            vec![7.0, 8.0],
+        ];
+        let store = PointStore::from_rows(&rows);
+        let next = store.spliced(&[true, false, true, false], &[vec![9.0, 10.0]]);
+        assert_eq!(next.as_flat(), &[3.0, 4.0, 7.0, 8.0, 9.0, 10.0]);
+        assert_eq!(store.spliced(&[false; 4], &[]), store);
+        let emptied = store.spliced(&[true; 4], &[]);
+        assert!(emptied.is_empty());
+        assert_eq!(emptied.dim(), 2);
+    }
+
+    #[test]
+    fn rows_reads_nested_and_flat_alike() {
+        fn sum<R: Rows + ?Sized>(r: &R) -> f64 {
+            (0..r.len()).map(|i| r.row(i).iter().sum::<f64>()).sum()
+        }
+        let rows = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
+        let store = PointStore::from_rows(&rows);
+        assert_eq!(sum(&rows), 10.0);
+        assert_eq!(sum(rows.as_slice()), 10.0);
+        assert_eq!(sum(&store), 10.0);
+        assert!(!Rows::is_empty(&store));
+    }
+
+    #[test]
     fn round_trips_rows() {
         let rows = vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]];
         let store = PointStore::from_rows(&rows);
         assert_eq!(store.len(), 3);
         assert_eq!(store.dim(), 2);
         assert_eq!(&store[1], &[3.0, 4.0][..]);
-        assert_eq!(store.to_rows(), rows);
+        assert!(store.iter().eq(rows.iter().map(Vec::as_slice)));
         assert_eq!(store.iter().count(), 3);
     }
 
@@ -347,7 +449,7 @@ mod tests {
         let store = PointStore::from_rows(&[]);
         assert!(store.is_empty());
         assert_eq!(store.len(), 0);
-        assert_eq!(store.to_rows(), Vec::<Vec<f64>>::new());
+        assert_eq!(store.iter().count(), 0);
     }
 
     #[test]

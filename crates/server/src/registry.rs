@@ -45,15 +45,17 @@ pub struct LoadedDataset {
     /// The parsed CSV payload, as an immutable snapshot behind a
     /// momentary lock: readers clone the `Arc` and serve from it
     /// (never holding the lock across query execution), `update`
-    /// swaps in a rebuilt payload. A query racing an update may
-    /// therefore resolve names from the adjacent version — bounded
-    /// skew for one response; ids inside a response are always
-    /// internally consistent (the engine snapshots its own version),
-    /// and `CsvData::name` falls back to `#id` past the label column.
+    /// mutates it in place through `Arc::make_mut`, which copies only
+    /// when a reader still holds the old snapshot. A query racing an
+    /// update may therefore resolve names from the adjacent version —
+    /// bounded skew for one response; ids inside a response are
+    /// always internally consistent (the engine snapshots its own
+    /// version), and `CsvData::name` falls back to `#id` past the
+    /// label column.
     pub data: RwLock<Arc<CsvData>>,
-    /// Serializes `update`s on this dataset (stage → WAL append →
-    /// engine mutate → swap must not interleave); queries never take
-    /// it.
+    /// Serializes `update`s on this dataset (check → WAL append →
+    /// engine mutate → payload apply → compaction must not
+    /// interleave); queries never take it.
     update_lock: Mutex<()>,
     /// The engine serving it.
     pub engine: UtkEngine,
@@ -294,7 +296,7 @@ impl DatasetRegistry {
             }
         };
 
-        let mut engine = UtkEngine::new(data.dataset.points.clone())
+        let mut engine = UtkEngine::from_slice(&data.dataset.points)
             .map_err(|e| dataset_error(e.to_string()))?
             .with_base_epoch(base_epoch)
             .with_clock(Arc::clone(&self.clock));
@@ -380,20 +382,18 @@ impl DatasetRegistry {
         let report = {
             // Serialize updates on this dataset; queries keep running
             // on their snapshots throughout (the data lock is taken
-            // only momentarily to read and to swap).
+            // only momentarily to check and to apply).
             let _updating = ds.update_lock.lock().expect("dataset update lock");
-            // Validate the CSV-side effects (label policy, bounds) on
-            // a staged copy first: `CsvData::apply_update` mirrors
-            // `UtkEngine::apply_update` validation (see the note on
-            // the former), so the two succeed or fail as one — the
-            // engine runs second and a failure discards the staging.
-            let mut staged = (**ds.data.read().expect("dataset data lock")).clone();
-            staged
-                .apply_update(deletes, &inserts, labels.as_deref())
+            // Check the CSV-side effects (label policy, bounds) first:
+            // `CsvData::check_update` mirrors `UtkEngine::apply_update`
+            // validation (see the note on `CsvData::apply_update`), so
+            // the two succeed or fail as one.
+            ds.data_snapshot()
+                .check_update(deletes, &inserts, labels.as_deref())
                 .map_err(|e| ProtoError::bad_request(format!("dataset {name:?}: {e}")))?;
             // Durability before visibility: the record reaches disk
             // (append + fsync) before the engine commits its epoch
-            // bump. Staging already validated the mutation, so the
+            // bump. The check already validated the mutation, so the
             // engine cannot refuse what the log now promises.
             if let Some(wal) = &ds.wal {
                 if !(deletes.is_empty() && inserts.is_empty()) {
@@ -412,9 +412,20 @@ impl DatasetRegistry {
             }
             let report = ds
                 .engine
-                .apply_update(deletes, inserts)
+                .apply_update(deletes, inserts.clone())
                 .map_err(|e| ProtoError::bad_request(format!("dataset {name:?}: {e}")))?;
+            // The payload follows the engine in place: `make_mut`
+            // copies it only if a reader still holds this version.
+            Arc::make_mut(&mut ds.data.write().expect("dataset data lock"))
+                .apply_update(deletes, &inserts, labels.as_deref())
+                .map_err(|e| ProtoError {
+                    code: code::DATASET_ERROR,
+                    message: format!("dataset {name:?}: payload diverged from engine: {e}"),
+                })?;
             if let Some(wal) = &ds.wal {
+                // Read the payload before taking the log lock (the
+                // lock order puts `wal` before `data`).
+                let data = ds.data_snapshot();
                 let mut wal = wal.lock().expect("dataset wal lock");
                 // Two compaction triggers: the engine just paid for a
                 // full index rebuild (fold the log into a snapshot so
@@ -423,9 +434,11 @@ impl DatasetRegistry {
                 // when the rebuild heuristic stays quiet). Snapshot
                 // first, then compact — a crash in between leaves the
                 // full log, which still replays from the original CSV.
+                // The payload is already applied, so a failure here
+                // leaves names and `n` in step with the engine.
                 let over_budget = self.wal_compact_every.is_some_and(|n| wal.records() > n);
                 if report.index_rebuilt || over_budget {
-                    compact_into_snapshot(&mut wal, &staged, report.epoch).map_err(|e| {
+                    compact_into_snapshot(&mut wal, &data, report.epoch).map_err(|e| {
                         ProtoError {
                             code: code::DATASET_ERROR,
                             message: format!("dataset {name:?}: wal compact: {e}"),
@@ -433,7 +446,6 @@ impl DatasetRegistry {
                     })?;
                 }
             }
-            *ds.data.write().expect("dataset data lock") = Arc::new(staged);
             report
         };
         let loaded = self.loaded.lock().expect("registry lock");
@@ -739,6 +751,63 @@ mod tests {
         assert_eq!(back.engine.dataset_epoch(), 3);
         assert_eq!(back.engine.len(), 6);
         assert_eq!(back.data.read().unwrap().name(5), "y2");
+    }
+
+    #[test]
+    fn failed_compaction_keeps_the_payload_in_step_with_the_engine() {
+        let fixture = fixture_dir("registry_failed_compaction_keeps_the_payload_in_step");
+        let dir = fixture.path().to_path_buf();
+        let wal_dir = dir.join("wal_fail");
+        // A directory squatting on the snapshot path makes the
+        // snapshot's rename, and so every compaction, fail.
+        std::fs::create_dir_all(wal_dir.join("hotels.snapshot.csv")).unwrap();
+        let registry = DatasetRegistry::new(dir, 1 << 20, 1)
+            .with_wal_dir(wal_dir)
+            .with_wal_compact_every(1);
+
+        // The first update leaves one log record; the second leaves
+        // two, over the budget, and its compaction fails after the
+        // engine committed. It also changes `n` (4 → 5), so a stale
+        // payload would show in the wire's `n` as well as in names.
+        registry
+            .update(
+                "hotels",
+                &[],
+                vec![vec![1.0, 2.0, 3.0]],
+                Some(vec!["y0".into()]),
+            )
+            .unwrap();
+        let err = registry
+            .update(
+                "hotels",
+                &[0],
+                vec![vec![2.0, 2.0, 3.0], vec![3.0, 2.0, 3.0]],
+                Some(vec!["y1".into(), "y2".into()]),
+            )
+            .unwrap_err();
+        assert_eq!(err.code, code::DATASET_ERROR);
+        assert!(err.message.contains("wal compact"), "{}", err.message);
+
+        // Names and `n` describe what the engine answers from.
+        let (ds, _) = registry.get_or_load("hotels").unwrap();
+        assert_eq!(ds.engine.dataset_epoch(), 2);
+        assert_eq!(ds.engine.len(), 5);
+        let data = ds.data_snapshot();
+        assert_eq!(data.dataset.len(), 5);
+        let utk1 = crate::spec::answer_query_line(
+            &ds.engine,
+            &data,
+            "utk1 --k 2 --lo 0.05,0.05 --hi 0.45,0.25",
+        );
+        assert!(utk1.contains(r#""n":5,"#), "{utk1}");
+        let topk =
+            crate::spec::answer_query_line(&ds.engine, &data, "topk --k 5 --weights 0.3,0.3");
+        for (id, name) in ["p2", "p3", "y0", "y1", "y2"].iter().enumerate() {
+            assert!(
+                topk.contains(&format!(r#""id":{id},"name":"{name}""#)),
+                "{topk}"
+            );
+        }
     }
 
     #[test]

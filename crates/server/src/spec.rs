@@ -617,7 +617,7 @@ p7,8.6,7.1,4.3
     #[test]
     fn answer_query_file_matches_run_many_semantics() {
         let data = parse_csv(HOTELS, "hotels").unwrap();
-        let engine = UtkEngine::new(data.dataset.points.clone()).unwrap();
+        let engine = UtkEngine::from_slice(&data.dataset.points).unwrap();
         let parsed = parse_query_file(
             "utk1 --k 2 --lo 0.05,0.05 --hi 0.45,0.25\nutk1 --k 0 --lo 0.1,0.1 --hi 0.2,0.2\n",
             3,
@@ -690,7 +690,7 @@ insert p9,1,2,3
     #[test]
     fn single_line_answers_have_no_batch_marker() {
         let data = parse_csv(HOTELS, "hotels").unwrap();
-        let engine = UtkEngine::new(data.dataset.points.clone()).unwrap();
+        let engine = UtkEngine::from_slice(&data.dataset.points).unwrap();
         let line = answer_query_line(&engine, &data, "utk1 --k 2 --lo 0.05,0.05 --hi 0.45,0.25");
         assert!(line.contains(r#""batch_group_count":0"#), "{line}");
         let err = answer_query_line(&engine, &data, "utk1 --k 2");

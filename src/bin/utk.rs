@@ -271,7 +271,7 @@ fn load(args: &ParsedArgs) -> Result<CsvData, String> {
 /// Builds the engine, applying `--threads` to its worker pool and
 /// `--cache-budget` (MiB) to its filter cache.
 fn engine_from(args: &ParsedArgs, data: &CsvData) -> Result<UtkEngine, String> {
-    let mut engine = UtkEngine::new(data.dataset.points.clone()).map_err(|e| e.to_string())?;
+    let mut engine = UtkEngine::from_slice(&data.dataset.points).map_err(|e| e.to_string())?;
     if let Some(t) = args.get("threads") {
         let t: usize = t.parse().map_err(|_| "--threads must be an integer")?;
         engine = engine.with_pool_threads(t);

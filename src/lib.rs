@@ -32,7 +32,7 @@
 //! // Figure 1 of the paper: uncertain top-2 over a region of
 //! // plausible user preferences.
 //! let hotels = utk::data::embedded::figure1_hotels();
-//! let engine = UtkEngine::new(hotels.points.clone())?;
+//! let engine = UtkEngine::from_slice(&hotels.points)?;
 //! let region = Region::hyperrect(vec![0.05, 0.05], vec![0.45, 0.25]);
 //!
 //! // UTK1: which hotels can make the top-2 at all?
@@ -148,15 +148,21 @@
 //!
 //! Under the hood, queries snapshot an immutable dataset version (no
 //! torn reads; [`Stats::dataset_epoch`](core::stats::Stats) reports
-//! which), the R-tree absorbs mutations through a tombstone/append
-//! overlay until a rebuild threshold
+//! which). A version holds its records once, as one flat
+//! [`PointStore`](geom::PointStore) that the filter, the SK/ON
+//! baselines and the scoring transforms all read (the latter two
+//! through [`Rows`](geom::Rows)); a mutation builds the next store
+//! with one bulk copy per run of surviving rows plus the inserts, no
+//! per-row allocation. The R-tree absorbs mutations through a
+//! tombstone/append overlay until a rebuild threshold
 //! ([`TreeView`](core::skyband::TreeView) — exact by the
 //! tree-independence of BBS record pop order), and the filter cache
 //! is invalidated *surgically*: an entry survives iff no deleted id
 //! is a cached member and every insert is provably screened out by
 //! cached members
 //! ([`rejected_by_members`](core::skyband::rejected_by_members));
-//! survivors are id-remapped and re-keyed under the new epoch.
+//! survivors are id-remapped in place and re-keyed under the new
+//! epoch.
 //! Entries a mutation *does* touch are **spliced**, not dropped:
 //! [`r_skyband_repair`](core::skyband::r_skyband_repair) re-screens
 //! only the member prefix the mutation can affect and merges live

@@ -64,6 +64,8 @@ fn utk_bin(args: &[&str]) -> (String, String, bool) {
 }
 
 /// Spawns `utk serve` on a Unix socket and waits for it to listen.
+/// The socket file appears at `bind`, a moment before `listen`, so
+/// readiness is a connection that succeeds, not the file existing.
 #[cfg(unix)]
 fn spawn_serve(dir: &Path, socket: &Path, extra_flags: &[&str]) -> Child {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_utk"));
@@ -79,8 +81,11 @@ fn spawn_serve(dir: &Path, socket: &Path, extra_flags: &[&str]) -> Child {
     .stderr(Stdio::piped());
     let child = cmd.spawn().expect("serve spawns");
     let deadline = Instant::now() + Duration::from_secs(20);
-    while !socket.exists() {
-        assert!(Instant::now() < deadline, "server never bound {socket:?}");
+    while std::os::unix::net::UnixStream::connect(socket).is_err() {
+        assert!(
+            Instant::now() < deadline,
+            "server never listened on {socket:?}"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
     child
