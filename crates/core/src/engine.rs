@@ -1115,7 +1115,7 @@ struct EngineInner {
     /// drop-and-recompute baseline.
     repair_enabled: bool,
     /// Which dominance kernel the r-skyband screen runs
-    /// ([`ScreenKernel::BlockedPrefilter`] by default). Candidate sets
+    /// ([`ScreenKernel::Blocked`] by default). Candidate sets
     /// are byte-identical across kernels; the scalar oracle stays
     /// reachable through [`UtkEngine::without_blocked_kernel`] for the
     /// identity property suite and ablation benches.
@@ -1252,7 +1252,7 @@ impl UtkEngine {
     }
 
     /// Runs every r-skyband screen on the scalar oracle kernel
-    /// instead of the default blocked sweep + `f32` prefilter. The
+    /// instead of the default blocked sweep. The
     /// candidate sets (and hence all query results) are byte-identical
     /// either way — this twin exists so the property suite can assert
     /// exactly that, and so benches can measure what blocking buys.
@@ -2851,6 +2851,35 @@ mod tests {
             assert_eq!(line(&engine), line(&fresh));
         }
         assert_eq!(engine.filter_cache_counters().0, 2);
+    }
+
+    #[test]
+    fn default_engine_screens_with_the_blocked_kernel() {
+        use rand::prelude::*;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+        let rows: Vec<Vec<f64>> = (0..300)
+            .map(|_| (0..3).map(|_| rng.gen_range(0.0..1.0)).collect())
+            .collect();
+        let region = Region::hyperrect(vec![0.2, 0.3], vec![0.3, 0.4]);
+        let query = UtkQuery::utk1(5).region(region);
+        let blocked = UtkEngine::new(rows.clone()).unwrap().run(&query).unwrap();
+        let scalar = UtkEngine::new(rows)
+            .unwrap()
+            .without_blocked_kernel()
+            .run(&query)
+            .unwrap();
+        assert!(blocked.stats().kernel_blocks > 0);
+        assert_eq!(blocked.stats().prefilter_rejects, 0);
+        assert_eq!(scalar.stats().kernel_blocks, 0);
+        assert_eq!(blocked.stats().candidates, scalar.stats().candidates);
+        // The wire lines agree byte for byte once the work counters,
+        // which differ by kernel, are set aside.
+        let line = |mut result: QueryResult| {
+            *result.stats_mut() = Stats::new();
+            let name = |id: u32| format!("#{id}");
+            crate::wire::result_json(&result, 5, Algo::Auto, 300, 3, &[], &name)
+        };
+        assert_eq!(line(blocked), line(scalar));
     }
 
     #[test]

@@ -351,7 +351,7 @@ fn expand(
                 arr.prune(id);
             }
         }
-        stats.cells_created += arr.all_cells().len();
+        stats.count_arrangement(&arr);
         let bytes = arr.approx_bytes();
         stats.arrangement_grew(bytes);
         (arr, bytes)

@@ -149,14 +149,14 @@ pub fn kspr<R: Rows + ?Sized>(
         }
         if arr.num_live() == 0 {
             // p is beaten ≥ k times everywhere: disqualified early.
-            stats.cells_created += arr.all_cells().len();
+            stats.count_arrangement(&arr);
             return KsprResult {
                 qualified: false,
                 regions: Vec::new(),
             };
         }
     }
-    stats.cells_created += arr.all_cells().len();
+    stats.count_arrangement(&arr);
 
     let mut regions = Vec::new();
     for (_, cell) in arr.live_cells() {

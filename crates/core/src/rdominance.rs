@@ -124,11 +124,11 @@ pub fn classify_corner_scores(pscores: &[f64], qscores: &[f64]) -> RDominance {
 
 /// Which dominance kernel drives the r-skyband screen sweep.
 ///
-/// All three produce byte-identical candidate sets (ids, points,
-/// dominance graph) — the property suite in `tests/screen_kernel.rs`
-/// locks kernel choice out of every observable result except the work
-/// counters. [`ScreenKernel::Scalar`] is the oracle the blocked paths
-/// are judged against, kept reachable through the engine's
+/// Both produce byte-identical candidate sets (ids, points, dominance
+/// graph) — the property suite in `tests/screen_kernel.rs` locks
+/// kernel choice out of every observable result except the work
+/// counters. [`ScreenKernel::Scalar`] is the oracle the blocked sweep
+/// is judged against, kept reachable through the engine's
 /// `without_blocked_kernel()` twin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScreenKernel {
@@ -137,12 +137,8 @@ pub enum ScreenKernel {
     Scalar,
     /// Branch-free blocked sweep over the SoA score panel
     /// ([`blocked_dominates_mask`]).
-    Blocked,
-    /// Blocked sweep behind the `f32` reject-only prefilter
-    /// ([`prefilter_reject_mask`]); survivors verified exactly in
-    /// `f64`.
     #[default]
-    BlockedPrefilter,
+    Blocked,
 }
 
 /// Branch-free blocked dominance test: which of the [`SCORE_LANES`]
@@ -186,54 +182,6 @@ pub fn blocked_dominates_mask(block: &[f64], qscores: &[f64]) -> u8 {
     let mut mask = 0u8;
     for l in 0..SCORE_LANES {
         mask |= u8::from(no_neg[l] && any_pos[l]) << l;
-    }
-    mask
-}
-
-/// The `f32` reject-only prefilter: which lanes of `block32` (a
-/// [`ScorePanel`] `f32` block, member scores rounded **up** via
-/// `utk_geom::f32_up`) provably cannot dominate the probe whose vertex
-/// scores were rounded **down** (`utk_geom::f32_down`) into `qlower`.
-///
-/// Soundness — a set bit never loses a true dominator. For every
-/// vertex, `bound = next_up(ms_up − qs_down)` computed in `f32` is an
-/// upper bound on the exact `f64` delta: `ms_up ≥ ms` and
-/// `qs_down ≤ qs` by directed rounding, and one `next_up` absorbs the
-/// ≤ 0.5-ulp error of the round-to-nearest `f32` subtraction. Widened
-/// back to `f64` (exact), the lane is rejectable iff
-///
-/// * some vertex has `bound < −EPS` — then the true delta there is
-///   below `−EPS`, so the scalar classification cannot be `Dominates`
-///   (its `min` check fails); or
-/// * every vertex has `bound ≤ EPS` — then no true delta exceeds
-///   `EPS`, so the `max` check fails.
-///
-/// NaN bounds (e.g. a NaN probe score) update neither accumulator the
-/// lane-rejecting way: `all_small` is ANDed with a false comparison,
-/// making the lane non-rejectable unless an *other* vertex's finite
-/// bound independently proves rejection. `−∞`-padded member lanes
-/// produce `bound = next_up(−∞) = f32::MIN < −EPS` against finite
-/// probe scores, so padding is rejectable and never forces a `f64`
-/// verification on its own.
-///
-/// The filter may only **reject**: callers must verify every
-/// surviving lane with the exact `f64` kernel. Exactness is
-/// structural, not statistical.
-#[inline]
-pub fn prefilter_reject_mask(block32: &[f32], qlower: &[f32]) -> u8 {
-    debug_assert_eq!(block32.len(), qlower.len() * SCORE_LANES);
-    let mut any_neg = [false; SCORE_LANES]; // some vertex bound < −EPS
-    let mut all_small = [true; SCORE_LANES]; // every vertex bound ≤ EPS
-    for (row, &qs) in block32.chunks_exact(SCORE_LANES).zip(qlower) {
-        for l in 0..SCORE_LANES {
-            let bound = (row[l] - qs).next_up() as f64;
-            any_neg[l] |= bound < -EPS;
-            all_small[l] &= bound <= EPS;
-        }
-    }
-    let mut mask = 0u8;
-    for l in 0..SCORE_LANES {
-        mask |= u8::from(any_neg[l] || all_small[l]) << l;
     }
     mask
 }
@@ -435,33 +383,6 @@ mod tests {
             assert_eq!(mask & (1 << m) != 0, want, "member {m}");
         }
         assert_eq!(mask, 0b010110);
-    }
-
-    #[test]
-    fn prefilter_never_rejects_a_true_dominator() {
-        use rand::prelude::*;
-        use utk_geom::f32_down;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(78);
-        let nv = 3;
-        for _ in 0..100 {
-            let n = rng.gen_range(1..SCORE_LANES + 1);
-            let mut panel = ScorePanel::new(nv);
-            for _ in 0..n {
-                // Tight clusters so near-ties (the prefilter's hard
-                // case) actually occur.
-                let r: Vec<f64> = (0..nv).map(|_| 0.5 + rng.gen_range(-1e-6..1e-6)).collect();
-                panel.push(&r);
-            }
-            let probe: Vec<f64> = (0..nv).map(|_| 0.5 + rng.gen_range(-1e-6..1e-6)).collect();
-            let qlower: Vec<f32> = probe.iter().map(|&s| f32_down(s)).collect();
-            let reject = prefilter_reject_mask(panel.block_f32(0), &qlower);
-            let exact = blocked_dominates_mask(panel.block_f64(0), &probe);
-            assert_eq!(
-                reject & exact,
-                0,
-                "a rejected lane classified as dominating in f64"
-            );
-        }
     }
 
     #[test]

@@ -300,7 +300,7 @@ fn verify(
                 arr.prune(id);
             }
         }
-        stats.cells_created += arr.all_cells().len();
+        stats.count_arrangement(&arr);
         let bytes = arr.approx_bytes();
         stats.arrangement_grew(bytes);
         (arr, bytes)

@@ -43,11 +43,8 @@
 //!   [`ScorePanel`] (member blocks of [`SCORE_LANES`] lanes,
 //!   vertex-major), and when admission order matches pivot order the
 //!   sweep runs the branch-free blocked kernel
-//!   ([`blocked_dominates_mask`]) behind an `f32` reject-only
-//!   prefilter ([`prefilter_reject_mask`]) — both selected by
-//!   [`ScreenKernel`], both byte-identical to the scalar oracle by
-//!   construction (the prefilter may only *reject*, and every
-//!   survivor is verified exactly in `f64`).
+//!   ([`blocked_dominates_mask`]), selected by [`ScreenKernel`] and
+//!   byte-identical to the scalar oracle by construction.
 //!
 //! # Superset reuse
 //!
@@ -64,13 +61,13 @@
 
 use crate::graph::DominanceGraph;
 use crate::rdominance::{
-    blocked_dominates_mask, classify_member_scores, dominates, prefilter_reject_mask,
-    r_dominance_scratch, RDominance, ScreenKernel,
+    blocked_dominates_mask, classify_member_scores, dominates, r_dominance_scratch, RDominance,
+    ScreenKernel,
 };
 use crate::stats::Stats;
 use utk_geom::{
-    f32_down, pref_score, score_upper_bound, PointStore, PointStoreBuilder, Region, Rows,
-    ScorePanel, SCORE_LANES,
+    pref_score, score_upper_bound, PointStore, PointStoreBuilder, Region, Rows, ScorePanel,
+    SCORE_LANES,
 };
 use utk_rtree::RTree;
 
@@ -254,7 +251,7 @@ struct BandScreen<'r> {
     region: &'r Region,
     k: usize,
     /// Which dominance kernel sweeps the members (see
-    /// [`ScreenKernel`]); all choices produce byte-identical candidate
+    /// [`ScreenKernel`]); both produce byte-identical candidate
     /// sets.
     kernel: ScreenKernel,
     pivot: Vec<f64>,
@@ -275,15 +272,11 @@ struct BandScreen<'r> {
     /// and NaN-degraded orders break it and drop to the scalar oracle,
     /// which also keeps the dominator lists in `by_pivot` order there.
     by_pivot_identity: bool,
-    /// Member scores at the region vertices, in SoA blocks (exact
-    /// `f64` plus the rounded-up `f32` prefilter panel).
+    /// Member scores at the region vertices, in SoA blocks.
     panel: ScorePanel,
     dominator_lists: Vec<Vec<u32>>,
     // Per-probe scratch (no allocations after warm-up).
     probe_corner_scores: Vec<f64>,
-    /// Probe vertex scores rounded down ([`f32_down`]) — the
-    /// survival-biased side of the prefilter bound.
-    probe_lower_scores: Vec<f32>,
     probe_pivot_score: f64,
     doms_scratch: Vec<u32>,
     delta_scratch: Vec<f64>,
@@ -310,7 +303,6 @@ impl<'r> BandScreen<'r> {
             panel: ScorePanel::new(nv),
             dominator_lists: Vec::new(),
             probe_corner_scores: Vec::new(),
-            probe_lower_scores: Vec::new(),
             probe_pivot_score: f64::NAN,
             doms_scratch: Vec::new(),
             delta_scratch: Vec::new(),
@@ -332,11 +324,6 @@ impl<'r> BandScreen<'r> {
             self.probe_corner_scores.clear();
             self.probe_corner_scores
                 .extend(corners.iter().map(|v| pref_score(p, v)));
-            if self.kernel == ScreenKernel::BlockedPrefilter {
-                self.probe_lower_scores.clear();
-                self.probe_lower_scores
-                    .extend(self.probe_corner_scores.iter().map(|&s| f32_down(s)));
-            }
         }
         let s_piv = pref_score(p, &self.pivot);
         self.probe_pivot_score = s_piv;
@@ -398,7 +385,6 @@ impl<'r> BandScreen<'r> {
     /// admitted probes do, and those sweep every block), so stopping
     /// early cannot change any output byte.
     fn screen_blocked(&mut self, cut: usize, stats: &mut Stats) -> bool {
-        let prefilter = self.kernel == ScreenKernel::BlockedPrefilter;
         for b in 0..cut.div_ceil(SCORE_LANES) {
             let live = (cut - b * SCORE_LANES).min(SCORE_LANES);
             let live_mask: u8 = if live == SCORE_LANES {
@@ -408,17 +394,6 @@ impl<'r> BandScreen<'r> {
             };
             stats.rdom_tests += live;
             stats.kernel_blocks += 1;
-            if prefilter {
-                let reject =
-                    prefilter_reject_mask(self.panel.block_f32(b), &self.probe_lower_scores);
-                if reject & live_mask == live_mask {
-                    // The f32 bound proves every live member fails —
-                    // the only decision the prefilter may take alone.
-                    stats.prefilter_rejects += 1;
-                    continue;
-                }
-                stats.prefilter_verifies += 1;
-            }
             let mask = blocked_dominates_mask(self.panel.block_f64(b), &self.probe_corner_scores)
                 & live_mask;
             let mut bits = mask;

@@ -18,6 +18,12 @@ pub struct Stats {
     pub candidates: usize,
     /// Half-spaces inserted into arrangements.
     pub halfspaces_inserted: usize,
+    /// Linear programs the arrangements solved: each one's root
+    /// interior point plus every cell-versus-half-space interior test.
+    pub lp_solves: usize,
+    /// Constraint rows over all of [`Stats::lp_solves`] — the size
+    /// of the LP work, not just its count.
+    pub lp_rows: usize,
     /// Arrangement cells created (including split children).
     pub cells_created: usize,
     /// Local arrangements constructed (one per `Verify`/`Partition`
@@ -61,12 +67,10 @@ pub struct Stats {
     /// `utk_geom::SCORE_LANES` members wide; 0 on the scalar oracle
     /// path).
     pub kernel_blocks: usize,
-    /// Blocks the `f32` reject-only prefilter disposed of without an
-    /// exact `f64` verification.
+    /// Retired: the `f32` screen prefilter it counted is gone, so this
+    /// is always 0 and is not on the wire. Kept only for readers that
+    /// still name it; it will be removed.
     pub prefilter_rejects: usize,
-    /// Blocks that survived the `f32` prefilter and were verified with
-    /// the exact `f64` kernel.
-    pub prefilter_verifies: usize,
     /// Worker threads of the pool that executed this query's parallel
     /// phase (0 for a fully sequential query). Parallel RSA and
     /// parallel JAA populate it; deterministic for a given engine.
@@ -109,6 +113,14 @@ impl Stats {
         }
     }
 
+    /// Adds the cells and LPs of a finished arrangement.
+    pub fn count_arrangement(&mut self, arr: &utk_geom::Arrangement) {
+        let lp = arr.lp_work();
+        self.cells_created += arr.all_cells().len();
+        self.lp_solves += lp.solves;
+        self.lp_rows += lp.rows;
+    }
+
     /// Registers `bytes` of discarded arrangement index.
     pub fn arrangement_dropped(&mut self, bytes: usize) {
         self.live_arrangement_bytes = self.live_arrangement_bytes.saturating_sub(bytes);
@@ -119,6 +131,8 @@ impl Stats {
     pub fn absorb(&mut self, other: &Stats) {
         self.candidates += other.candidates;
         self.halfspaces_inserted += other.halfspaces_inserted;
+        self.lp_solves += other.lp_solves;
+        self.lp_rows += other.lp_rows;
         self.cells_created += other.cells_created;
         self.arrangements_built += other.arrangements_built;
         self.drills += other.drills;
@@ -136,8 +150,6 @@ impl Stats {
         self.evictions += other.evictions;
         self.screen_prefix_skips += other.screen_prefix_skips;
         self.kernel_blocks += other.kernel_blocks;
-        self.prefilter_rejects += other.prefilter_rejects;
-        self.prefilter_verifies += other.prefilter_verifies;
         // Configuration-like counters: a merge keeps the widest value
         // rather than a meaningless sum.
         self.pool_threads = self.pool_threads.max(other.pool_threads);

@@ -79,16 +79,19 @@ pub fn stats_json(stats: &Stats) -> String {
     format!(
         concat!(
             r#"{{"candidates":{},"bbs_pops":{},"rdom_tests":{},"halfspaces_inserted":{},"#,
+            r#""lp_solves":{},"lp_rows":{},"#,
             r#""cells_created":{},"arrangements_built":{},"drills":{},"drill_hits":{},"#,
             r#""peak_arrangement_bytes":{},"kspr_calls":{},"filter_cache_hits":{},"#,
             r#""superset_hits":{},"filter_cache_bytes":{},"evictions":{},"#,
-            r#""screen_prefix_skips":{},"kernel_blocks":{},"prefilter_rejects":{},"#,
-            r#""prefilter_verifies":{},"pool_threads":{},"batch_group_count":{}}}"#
+            r#""screen_prefix_skips":{},"kernel_blocks":{},"#,
+            r#""pool_threads":{},"batch_group_count":{}}}"#
         ),
         stats.candidates,
         stats.bbs_pops,
         stats.rdom_tests,
         stats.halfspaces_inserted,
+        stats.lp_solves,
+        stats.lp_rows,
         stats.cells_created,
         stats.arrangements_built,
         stats.drills,
@@ -101,8 +104,6 @@ pub fn stats_json(stats: &Stats) -> String {
         stats.evictions,
         stats.screen_prefix_skips,
         stats.kernel_blocks,
-        stats.prefilter_rejects,
-        stats.prefilter_verifies,
         stats.pool_threads,
         stats.batch_group_count,
     )
@@ -338,15 +339,19 @@ mod tests {
     fn stats_json_carries_kernel_counters() {
         let mut stats = Stats::new();
         stats.kernel_blocks = 12;
-        stats.prefilter_rejects = 9;
-        stats.prefilter_verifies = 3;
+        stats.lp_solves = 9;
+        stats.lp_rows = 31;
         let json = stats_json(&stats);
         for frag in [
             r#""kernel_blocks":12"#,
-            r#""prefilter_rejects":9"#,
-            r#""prefilter_verifies":3"#,
+            r#""lp_solves":9"#,
+            r#""lp_rows":31"#,
         ] {
             assert!(json.contains(frag), "missing {frag} in {json}");
         }
+        assert!(
+            !json.contains("prefilter"),
+            "retired counter on the wire: {json}"
+        );
     }
 }

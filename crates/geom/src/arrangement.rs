@@ -10,7 +10,7 @@
 //! `Verify`/`Partition` call and discard it when recursion descends
 //! into a promising sub-cell.
 
-use crate::halfspace::Halfspace;
+use crate::halfspace::{Constraint, Halfspace};
 use crate::region::Region;
 use crate::tol::INTERIOR_EPS;
 
@@ -105,6 +105,25 @@ pub struct Arrangement {
     halfspaces: Vec<Halfspace>,
     tags: Vec<u32>,
     cells: Vec<Cell>,
+    lp: LpWork,
+}
+
+/// The linear programs an [`Arrangement`] has solved: the root
+/// interior point (when [`Arrangement::new`] found it) plus every
+/// cell-versus-half-space interior test of an insertion.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LpWork {
+    /// LPs solved.
+    pub solves: usize,
+    /// Constraint rows summed over those LPs.
+    pub rows: usize,
+}
+
+impl LpWork {
+    fn solved(&mut self, rows: usize) {
+        self.solves += 1;
+        self.rows += rows;
+    }
 }
 
 impl Arrangement {
@@ -115,20 +134,9 @@ impl Arrangement {
         if slack <= INTERIOR_EPS {
             return None;
         }
-        let root = Cell {
-            region: base.clone(),
-            covered: Vec::new(),
-            outside: Vec::new(),
-            interior,
-            slack,
-            state: CellState::Live,
-        };
-        Some(Self {
-            base,
-            halfspaces: Vec::new(),
-            tags: Vec::new(),
-            cells: vec![root],
-        })
+        let mut arr = Self::with_interior(base, interior, slack);
+        arr.lp.solved(arr.base.constraints().len());
+        Some(arr)
     }
 
     /// Starts an arrangement over `base` reusing a known interior
@@ -147,6 +155,7 @@ impl Arrangement {
             halfspaces: Vec::new(),
             tags: Vec::new(),
             cells: vec![root],
+            lp: LpWork::default(),
         }
     }
 
@@ -158,6 +167,11 @@ impl Arrangement {
     /// Preference-domain dimensionality.
     pub fn dim(&self) -> usize {
         self.base.dim()
+    }
+
+    /// The linear programs solved so far.
+    pub fn lp_work(&self) -> LpWork {
+        self.lp
     }
 
     /// Number of half-spaces inserted so far.
@@ -210,6 +224,14 @@ impl Arrangement {
         id
     }
 
+    /// Whether cell `ci` keeps a full-dimensional part under the extra
+    /// constraint `c` (one counted LP).
+    fn probe(&mut self, ci: CellId, c: &Constraint) -> Option<(Vec<f64>, f64)> {
+        let region = &self.cells[ci].region;
+        self.lp.solved(region.constraints().len() + 1);
+        region.has_interior_with(c)
+    }
+
     /// Decides the position of cell `ci` relative to `hs` and applies
     /// the outcome (cover/outside marking or a split).
     fn classify_and_split(&mut self, ci: CellId, hs: &Halfspace, id: u32) -> CellPosition {
@@ -219,9 +241,7 @@ impl Arrangement {
         let margin = INTERIOR_EPS;
         let (in_side, out_side) = if val > margin {
             // Interior point is inside; probe the outside part.
-            let out = self.cells[ci]
-                .region
-                .has_interior_with(&hs.outside_constraint());
+            let out = self.probe(ci, &hs.outside_constraint());
             match out {
                 None => {
                     self.cells[ci].covered.push(id);
@@ -233,9 +253,7 @@ impl Arrangement {
                 }
             }
         } else if val < -margin {
-            let inn = self.cells[ci]
-                .region
-                .has_interior_with(&hs.inside_constraint());
+            let inn = self.probe(ci, &hs.inside_constraint());
             match inn {
                 None => {
                     self.cells[ci].outside.push(id);
@@ -249,12 +267,8 @@ impl Arrangement {
         } else {
             // Interior point sits (numerically) on the hyperplane:
             // probe both sides.
-            let inn = self.cells[ci]
-                .region
-                .has_interior_with(&hs.inside_constraint());
-            let out = self.cells[ci]
-                .region
-                .has_interior_with(&hs.outside_constraint());
+            let inn = self.probe(ci, &hs.inside_constraint());
+            let out = self.probe(ci, &hs.outside_constraint());
             match (inn, out) {
                 (Some(i), Some(o)) => (i, o),
                 (Some(_), None) => {
@@ -347,8 +361,10 @@ impl Arrangement {
     }
 
     /// Rough live-memory estimate (Figure 13(b) space accounting).
+    /// The [`LpWork`] counters are bookkeeping, not index, so they are
+    /// left out.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
+        std::mem::size_of::<Self>() - std::mem::size_of::<LpWork>()
             + self
                 .halfspaces
                 .iter()
@@ -410,6 +426,36 @@ mod tests {
         arr.insert(Halfspace::ge(vec![1.0, 1.0], -1.0), 0);
         assert_eq!(arr.num_live(), 1);
         assert_eq!(arr.live_cells().next().unwrap().1.count(), 1);
+    }
+
+    #[test]
+    fn counts_every_lp_and_its_rows() {
+        let mut arr = Arrangement::new(unit_box()).unwrap();
+        // The root interior point: one LP over the box's 4 rows.
+        assert_eq!(arr.lp_work(), LpWork { solves: 1, rows: 4 });
+        // The root's centre sits on w1 = 0.5, so both sides are probed
+        // (4 + 1 rows each) before the split.
+        arr.insert(Halfspace::ge(vec![1.0, 0.0], 0.5), 0);
+        assert_eq!(
+            arr.lp_work(),
+            LpWork {
+                solves: 3,
+                rows: 14
+            }
+        );
+        // A covering half-space costs one probe per live cell, each over
+        // the cell's 5 rows plus the probe's own.
+        arr.insert(Halfspace::ge(vec![1.0, 1.0], -1.0), 1);
+        assert_eq!(
+            arr.lp_work(),
+            LpWork {
+                solves: 5,
+                rows: 26
+            }
+        );
+        // A caller-supplied interior point skips the root LP.
+        let seeded = Arrangement::with_interior(unit_box(), vec![0.5, 0.5], 0.5);
+        assert_eq!(seeded.lp_work(), LpWork::default());
     }
 
     #[test]

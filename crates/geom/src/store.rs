@@ -203,31 +203,6 @@ impl Rows for PointStore {
 /// stays negligible.
 pub const SCORE_LANES: usize = 8;
 
-/// Rounds `x` to the nearest `f32` **not below** it (directed rounding
-/// toward `+∞`). Used to quantize member scores so the `f32` prefilter
-/// bound can only overestimate the true `f64` score delta.
-#[inline]
-pub fn f32_up(x: f64) -> f32 {
-    let y = x as f32; // round-to-nearest; ±inf saturates, NaN stays NaN
-    if (y as f64) < x {
-        y.next_up()
-    } else {
-        y
-    }
-}
-
-/// Rounds `x` to the nearest `f32` **not above** it (directed rounding
-/// toward `−∞`) — the probe-side mirror of [`f32_up`].
-#[inline]
-pub fn f32_down(x: f64) -> f32 {
-    let y = x as f32;
-    if (y as f64) > x {
-        y.next_down()
-    } else {
-        y
-    }
-}
-
 /// Structure-of-arrays score storage for the blocked r-skyband screen:
 /// per-vertex score lanes stored column-major in member blocks of
 /// [`SCORE_LANES`], grown incrementally as members are admitted.
@@ -240,20 +215,12 @@ pub fn f32_down(x: f64) -> f32 {
 /// region vertex `v` — so the blocked kernel reads one contiguous
 /// `SCORE_LANES`-wide row per vertex, the shape rustc auto-vectorizes.
 ///
-/// Alongside the exact `f64` panel sits an `f32` panel holding each
-/// score rounded **up** ([`f32_up`], toward dominance): an upper bound
-/// on the member side of every delta, which is what lets the prefilter
-/// reject lanes without ever producing a false reject (see
-/// `utk_core::rdominance::prefilter_reject_mask`).
-///
 /// Unoccupied lanes of the final block are padded with
-/// `NEG_INFINITY` in both panels: a `−∞` member score can never
-/// witness a positive delta, so padding lanes never classify as
-/// dominating and are trivially rejectable by the prefilter.
+/// `NEG_INFINITY`: a `−∞` member score can never witness a positive
+/// delta, so padding lanes never classify as dominating.
 #[derive(Debug, Clone, Default)]
 pub struct ScorePanel {
     data: Vec<f64>,
-    upper: Vec<f32>,
     nv: usize,
     len: usize,
 }
@@ -263,7 +230,6 @@ impl ScorePanel {
     pub fn new(nv: usize) -> Self {
         Self {
             data: Vec::new(),
-            upper: Vec::new(),
             nv,
             len: 0,
         }
@@ -302,15 +268,10 @@ impl ScorePanel {
                 f64::NEG_INFINITY,
                 self.nv * SCORE_LANES,
             ));
-            self.upper.extend(std::iter::repeat_n(
-                f32::NEG_INFINITY,
-                self.nv * SCORE_LANES,
-            ));
         }
         let base = (self.len / SCORE_LANES) * self.nv * SCORE_LANES;
         for (v, &s) in scores.iter().enumerate() {
             self.data[base + v * SCORE_LANES + lane] = s;
-            self.upper[base + v * SCORE_LANES + lane] = f32_up(s);
         }
         self.len += 1;
     }
@@ -320,13 +281,6 @@ impl ScorePanel {
     pub fn block_f64(&self, b: usize) -> &[f64] {
         let w = self.nv * SCORE_LANES;
         &self.data[b * w..(b + 1) * w]
-    }
-
-    /// The rounded-up `f32` block `b`, same layout as [`Self::block_f64`].
-    #[inline]
-    pub fn block_f32(&self, b: usize) -> &[f32] {
-        let w = self.nv * SCORE_LANES;
-        &self.upper[b * w..(b + 1) * w]
     }
 
     /// The exact score of member `m` at vertex `v`.
@@ -343,11 +297,9 @@ impl ScorePanel {
         out.extend((0..self.nv).map(|v| self.member_score(m, v)));
     }
 
-    /// Heap bytes held by the panel (both precision levels).
+    /// Heap bytes held by the panel.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.data.len() * std::mem::size_of::<f64>()
-            + self.upper.len() * std::mem::size_of::<f32>()
+        std::mem::size_of::<Self>() + self.data.len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -478,33 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn directed_rounding_brackets_the_double() {
-        for &x in &[
-            0.0,
-            -0.0,
-            1.0,
-            0.1,
-            -0.1,
-            1e-12,
-            -1e-12,
-            1.0 + 1e-12,
-            f64::MAX,
-            f64::MIN,
-            1e300,
-            -1e300,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ] {
-            let up = f32_up(x);
-            let down = f32_down(x);
-            assert!(up as f64 >= x, "f32_up({x}) = {up} not an upper bound");
-            assert!(down as f64 <= x, "f32_down({x}) = {down} not a lower bound");
-        }
-        assert!(f32_up(f64::NAN).is_nan());
-        assert!(f32_down(f64::NAN).is_nan());
-    }
-
-    #[test]
     fn panel_layout_round_trips() {
         let nv = 3;
         let mut panel = ScorePanel::new(nv);
@@ -523,25 +448,17 @@ mod tests {
             assert_eq!(&row, scores, "member {m}");
             for (v, &s) in scores.iter().enumerate() {
                 assert_eq!(panel.member_score(m, v), s);
-                assert!(
-                    panel.block_f32(m / SCORE_LANES)[(v * SCORE_LANES) + m % SCORE_LANES] as f64
-                        >= s
-                );
             }
         }
-        // Padding lanes of the partial block are −∞ in both panels.
+        // Padding lanes of the partial block are −∞.
         for v in 0..nv {
             for lane in 3..SCORE_LANES {
                 assert_eq!(
                     panel.block_f64(1)[v * SCORE_LANES + lane],
                     f64::NEG_INFINITY
                 );
-                assert_eq!(
-                    panel.block_f32(1)[v * SCORE_LANES + lane],
-                    f32::NEG_INFINITY
-                );
             }
         }
-        assert!(panel.approx_bytes() >= 2 * nv * SCORE_LANES * (8 + 4));
+        assert!(panel.approx_bytes() >= 2 * nv * SCORE_LANES * 8);
     }
 }

@@ -54,7 +54,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -739,6 +739,30 @@ pub(crate) fn claim_admission(
         })
 }
 
+/// Binds a listening Unix socket at `path` without ever exposing a
+/// file that refuses connections: `bind(2)` creates the file before
+/// `listen(2)`, so the socket is bound under a temporary sibling name
+/// and renamed into place once it listens. A failed rename removes
+/// the temporary file.
+#[cfg(unix)]
+fn bind_listening(path: &Path) -> std::io::Result<UnixListener> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let _ = std::fs::remove_file(&tmp);
+    let listener = UnixListener::bind(&tmp)?;
+    if let Err(e) = std::fs::rename(&tmp, path) {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    Ok(listener)
+}
+
 /// A bound, not-yet-running server. [`Server::run`] blocks;
 /// [`Server::spawn`] runs it on a thread and hands back a
 /// [`ServerHandle`] (the in-process test/bench driver).
@@ -760,6 +784,9 @@ impl Server {
     /// — something is still accepting on it — is an `AddrInUse`
     /// error, so a second server can neither hijack a running
     /// server's path nor unlink its socket on shutdown.
+    ///
+    /// The Unix socket file appears only once it is listening, so a
+    /// client may treat the file existing as readiness.
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
         #[cfg(unix)]
         let mut socket_path = None;
@@ -777,7 +804,7 @@ impl Server {
                 }
                 socket_path = Some(path.clone());
                 (
-                    Listener::Unix(UnixListener::bind(path)?),
+                    Listener::Unix(bind_listening(path)?),
                     Bind::Unix(path.clone()),
                 )
             }

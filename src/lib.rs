@@ -76,8 +76,9 @@
 //! Which [`Stats`](core::stats::Stats) counters a query populates:
 //! filtering counters (`candidates`, `bbs_pops`, `rdom_tests`) on
 //! every non-cached query; arrangement counters
-//! (`halfspaces_inserted`, `cells_created`, `arrangements_built`,
-//! `drills`, `peak_arrangement_bytes`) during RSA/JAA refinement;
+//! (`halfspaces_inserted`, `lp_solves`, `lp_rows`, `cells_created`,
+//! `arrangements_built`, `drills`, `peak_arrangement_bytes`) during
+//! RSA/JAA refinement (and the LP and cell counters in kSPR too);
 //! `kspr_calls` only in the SK/ON baselines; `filter_cache_hits` on
 //! engine cache hits; `pool_threads` and `stolen_tasks` only on
 //! parallel queries; `batch_group_count` only through `run_many`.
@@ -85,12 +86,6 @@
 //! except `stolen_tasks` (on any parallel query) and parallel RSA's
 //! verification counters, both scheduling-dependent — see the
 //! [`wire`] module docs for the exact JSON determinism contract.
-//!
-//! (The recorded `BENCH_PARALLEL_JAA.json` figures were taken on a
-//! single-core container and are noise-dominated scheduler overhead,
-//! not real scaling — re-record on multicore hardware; the
-//! load-bearing part is `cells_identical_to_sequential: true` at
-//! every thread count.)
 //!
 //! ## Serving
 //!
@@ -252,22 +247,12 @@
 //!   repair returns `None` (full recompute) whenever it cannot prove
 //!   identity. Property-locked over random mutation interleavings in
 //!   `tests/dynamic.rs` against a `without_cache_repair()` twin.
-//! * **The f32 prefilter may only reject; survivors are verified in
-//!   f64.** The screen kernel's quantized panel uses conservative
-//!   directed rounding (member scores rounded up via
-//!   [`geom::f32_up`], the probe rounded down via [`geom::f32_down`],
-//!   plus a `next_up` on the subtraction), so an f32 bound below the
-//!   tolerance *proves* the exact delta fails too — a block is
-//!   skipped only on that proof, and every block the prefilter cannot
-//!   reject goes to the exact f64 kernel
-//!   ([`core::rdominance::prefilter_reject_mask`] /
-//!   [`core::rdominance::blocked_dominates_mask`]). A false f32
-//!   accept costs one exact verify; a false reject would change
-//!   answers and is impossible by construction. Locked by
-//!   `tests/screen_kernel.rs`: lane-exact equivalence with the scalar
-//!   classifier at ±EPS boundaries, reject-mask ∩ exact-dominator
-//!   mask ≡ ∅ on near-tie panels, and whole r-skyband byte-identity
-//!   (fresh, superset re-screen, engine splice repair) against a
+//! * **The screen kernel never changes bytes.** The default blocked
+//!   sweep ([`core::rdominance::blocked_dominates_mask`]) classifies
+//!   every lane exactly as the scalar oracle does, ±EPS boundaries and
+//!   NaN scores included. Locked by `tests/screen_kernel.rs`: whole
+//!   r-skyband byte-identity (fresh, superset re-screen, engine splice
+//!   repair) against a
 //!   [`without_blocked_kernel`](core::engine::UtkEngine::without_blocked_kernel)
 //!   scalar twin — the CI `screen-kernel-fuzz` job re-runs the suite
 //!   at 256 cases in release mode.

@@ -539,3 +539,21 @@ fn lru_byte_budget_evicts_and_stays_correct() {
     );
     assert!(engine.cached_filters() >= 1, "recent entries stay cached");
 }
+
+// --- work bounds -------------------------------------------------------
+
+/// The LP bill of one seeded ANTI UTK2 query near equal weights — the
+/// arrangement's dominant cost — pinned as a deterministic work bound.
+/// A change that solves fewer LPs for the same answer lowers these
+/// numbers on purpose; any other change to them is a regression.
+#[test]
+fn anti_utk2_lp_bill_is_pinned() {
+    let ds = generate(Distribution::Anti, 2_000, 4, 7);
+    let engine = UtkEngine::new(ds.points).unwrap();
+    let region = Region::hyperrect(vec![0.2422, 0.2462, 0.2435], vec![0.2522, 0.2562, 0.2535]);
+    let res = engine.utk2(&region, 5).unwrap();
+    let s = &res.stats;
+    assert_eq!((res.records.len(), res.cells.len()), (17, 381));
+    assert_eq!((s.halfspaces_inserted, s.cells_created), (3553, 1498));
+    assert_eq!((s.lp_solves, s.lp_rows), (4060, 72792));
+}

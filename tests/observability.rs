@@ -418,8 +418,6 @@ fn report_binary_renders_checked_in_figures_and_a_live_server() {
     for figure in [
         "BENCH_BATCH_THROUGHPUT.json",
         "BENCH_FILTER_CACHE.json",
-        "BENCH_PARALLEL_JAA.json",
-        "BENCH_SCREEN_KERNEL.json",
         "BENCH_SERVE_THROUGHPUT.json",
         "BENCH_WAL_REPAIR.json",
     ] {

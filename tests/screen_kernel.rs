@@ -1,28 +1,16 @@
 //! Oracle-locked screen-kernel tests: the blocked (vectorizable)
-//! r-dominance classifier and the f32 reject-only prefilter must be
-//! observationally invisible — every lane of every block agrees with
-//! the scalar `classify_corner_scores` oracle, the prefilter never
-//! rejects a lane the exact f64 kernel would keep, and whole
-//! r-skyband outputs (fresh build, superset re-screen, splice repair
-//! inside the engine) are byte-identical across all three
-//! [`ScreenKernel`] settings.
-//!
-//! The prefilter contract under test: **f32 may only reject**. A
-//! block is skipped only when the conservatively rounded f32 bounds
-//! prove every live lane fails the dominance test; any survivor is
-//! verified exactly in f64. A false f32 *accept* costs one exact
-//! verify; a false *reject* would change answers — so the reject mask
-//! must be a subset of the exact non-dominating lanes, which is
-//! precisely what `prefilter_is_reject_only` pins.
+//! r-dominance classifier must be observationally invisible — every
+//! lane of every block agrees with the scalar `classify_corner_scores`
+//! oracle, and whole r-skyband outputs (fresh build, superset
+//! re-screen, splice repair inside the engine) are byte-identical
+//! across both [`ScreenKernel`] settings.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use utk::core::rdominance::{
-    blocked_dominates_mask, classify_corner_scores, prefilter_reject_mask, RDominance,
-};
+use utk::core::rdominance::{blocked_dominates_mask, classify_corner_scores, RDominance};
 use utk::geom::tol::EPS;
-use utk::geom::{f32_down, ScorePanel, SCORE_LANES};
+use utk::geom::{ScorePanel, SCORE_LANES};
 use utk::prelude::*;
 
 /// Per-vertex deltas that stress the classifier: exact ±EPS/±2·EPS
@@ -92,45 +80,10 @@ proptest! {
         prop_assert_eq!(u32::from(mask) >> live, 0, "padding lane claimed dominance");
     }
 
-    /// Reject-only soundness: the f32 prefilter mask never covers a
-    /// lane the exact f64 kernel scores as dominating — on ordinary
-    /// panels and on near-tie panels clustered within 1e-6, where
-    /// f32's ~1e-7 relative resolution is genuinely too coarse to
-    /// decide and the bounds must refuse to reject.
-    #[test]
-    fn prefilter_is_reject_only(seed in 0u64..1 << 32, tight_pick in 0usize..2) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xF32);
-        let (probe, rows) = boundary_panel(&mut rng);
-        let nv = probe.len();
-        let tight = tight_pick == 1;
-        let squeeze = |v: f64| if tight { 0.5 + (v - 0.5) * 1e-6 } else { v };
-        let probe: Vec<f64> = probe.iter().map(|&v| squeeze(v)).collect();
-        let rows: Vec<Vec<f64>> = rows
-            .iter()
-            .map(|r| r.iter().map(|&v| squeeze(v)).collect())
-            .collect();
-        let mut panel = ScorePanel::new(nv);
-        for row in &rows {
-            panel.push(row);
-        }
-        let qlower: Vec<f32> = probe.iter().map(|&s| f32_down(s)).collect();
-        for b in 0..panel.blocks() {
-            let reject = prefilter_reject_mask(panel.block_f32(b), &qlower);
-            let exact = blocked_dominates_mask(panel.block_f64(b), &probe);
-            prop_assert_eq!(
-                reject & exact,
-                0,
-                "block {}: f32 rejected an exact f64 dominator (reject {:08b}, exact {:08b})",
-                b, reject, exact
-            );
-        }
-    }
-
     /// Whole-output byte-identity, fresh and superset-reuse: the
     /// r-skyband `CandidateSet` (ids, points, dominator graph) of the
-    /// blocked and blocked+prefilter kernels equals the scalar
-    /// oracle's, on a fresh tree walk and when re-screening a cached
-    /// superset for a nested region.
+    /// blocked kernel equals the scalar oracle's, on a fresh tree walk
+    /// and when re-screening a cached superset for a nested region.
     #[test]
     fn rskyband_is_identical_across_kernels(
         seed in 0u64..1 << 32,
@@ -146,11 +99,7 @@ proptest! {
         let lo: Vec<f64> = (0..d - 1).map(|_| rng.gen_range(0.03..0.15)).collect();
         let hi: Vec<f64> = lo.iter().map(|l| l + rng.gen_range(0.05..0.2)).collect();
         let outer = Region::hyperrect(lo.clone(), hi.clone());
-        let kernels = [
-            ScreenKernel::Scalar,
-            ScreenKernel::Blocked,
-            ScreenKernel::BlockedPrefilter,
-        ];
+        let kernels = [ScreenKernel::Scalar, ScreenKernel::Blocked];
         let fresh: Vec<CandidateSet> = kernels
             .iter()
             .map(|&kernel| {
@@ -158,7 +107,6 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(&fresh[1], &fresh[0], "blocked diverged from scalar (fresh)");
-        prop_assert_eq!(&fresh[2], &fresh[0], "prefilter diverged from scalar (fresh)");
 
         // Nested region strictly inside `outer`: the superset
         // re-screen path, where the panel is rebuilt per admit.
@@ -173,11 +121,10 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(&warm[1], &warm[0], "blocked diverged from scalar (superset)");
-        prop_assert_eq!(&warm[2], &warm[0], "prefilter diverged from scalar (superset)");
     }
 
     /// End-to-end engine twins over random mutation interleavings: a
-    /// default (blocked+prefilter) engine and a `without_blocked_kernel`
+    /// default (blocked) engine and a `without_blocked_kernel`
     /// scalar twin walk the same update/query sequence — warm-cache
     /// queries, splice repairs, superset re-screens — and must agree
     /// on every answer and on the candidate-set size that pins the

@@ -63,9 +63,10 @@ fn utk_bin(args: &[&str]) -> (String, String, bool) {
     )
 }
 
-/// Spawns `utk serve` on a Unix socket and waits for it to listen.
-/// The socket file appears at `bind`, a moment before `listen`, so
-/// readiness is a connection that succeeds, not the file existing.
+/// Spawns `utk serve` on a Unix socket and waits for the socket
+/// file, which appears only once the server listens. The wait spins
+/// instead of sleeping, so a gap between the file appearing and the
+/// server listening would be caught by the first connect.
 #[cfg(unix)]
 fn spawn_serve(dir: &Path, socket: &Path, extra_flags: &[&str]) -> Child {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_utk"));
@@ -81,12 +82,9 @@ fn spawn_serve(dir: &Path, socket: &Path, extra_flags: &[&str]) -> Child {
     .stderr(Stdio::piped());
     let child = cmd.spawn().expect("serve spawns");
     let deadline = Instant::now() + Duration::from_secs(20);
-    while std::os::unix::net::UnixStream::connect(socket).is_err() {
-        assert!(
-            Instant::now() < deadline,
-            "server never listened on {socket:?}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
+    while !socket.exists() {
+        assert!(Instant::now() < deadline, "server never bound {socket:?}");
+        std::thread::yield_now();
     }
     child
 }
@@ -349,6 +347,34 @@ fn bind_refuses_live_socket_and_reclaims_stale_one() {
     let mut conn = Connection::connect(reclaimed.bind_addr()).expect("reachable");
     conn.round_trip(&Request::Shutdown.to_json()).unwrap();
     reclaimed.join().expect("clean exit");
+}
+
+/// Readiness: the socket file appears only once the server listens,
+/// so one connect attempt as soon as the file exists must succeed —
+/// on every one of 16 fresh starts. No temporary bind file is left
+/// behind, and shutdown removes the socket.
+#[cfg(unix)]
+#[test]
+fn socket_file_means_the_server_is_listening() {
+    let fixture = datasets_dir("ready", &[]);
+    let dir = fixture.path().to_path_buf();
+    let socket = dir.join("ready.sock");
+    for start in 0..16 {
+        let server = spawn_serve(&dir, &socket, &[]);
+        let mut conn = Connection::connect(&Bind::Unix(socket.clone())).unwrap_or_else(|e| {
+            panic!("start {start}: socket file exists but connect failed: {e}")
+        });
+        let reply = conn.round_trip(&Request::Shutdown.to_json()).unwrap();
+        assert!(reply.contains(r#""ok":"shutdown""#), "{reply}");
+        assert_exits_cleanly(server, Duration::from_secs(10));
+        assert!(!socket.exists(), "start {start}: socket file left behind");
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["hotels.csv"], "start {start}: stray files");
+    }
 }
 
 /// Protocol ops against an in-process server: lazy load, stats

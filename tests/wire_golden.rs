@@ -30,19 +30,17 @@ p7,8.6,7.1,4.3
 ";
 
 /// Exact bytes of one `query` response (a UTK1 wire line).
-/// Deliberate format change with the blocked screen kernel: `stats`
-/// gained `kernel_blocks`/`prefilter_rejects`/`prefilter_verifies`,
-/// and `rdom_tests` now counts at block granularity under the default
-/// blocked+prefilter kernel (no mid-block early exit), so the pinned
-/// count rose from the scalar kernel's 14.
+/// `rdom_tests` counts at block granularity under the default blocked
+/// kernel (no mid-block early exit), so the pinned count is above the
+/// scalar kernel's 14.
 const GOLDEN_QUERY: &str = concat!(
     r#"{"query":"utk1","k":2,"algo":"rsa","n":7,"d":3,"#,
     r#""records":[{"id":0,"name":"p1"},{"id":1,"name":"p2"},{"id":3,"name":"p4"},{"id":5,"name":"p6"}],"#,
     r#""stats":{"candidates":4,"bbs_pops":8,"rdom_tests":18,"halfspaces_inserted":0,"#,
-    r#""cells_created":0,"arrangements_built":0,"drills":3,"drill_hits":3,"#,
+    r#""lp_solves":0,"lp_rows":0,"cells_created":0,"arrangements_built":0,"drills":3,"drill_hits":3,"#,
     r#""peak_arrangement_bytes":0,"kspr_calls":0,"filter_cache_hits":0,"superset_hits":0,"#,
     r#""filter_cache_bytes":1080,"evictions":0,"screen_prefix_skips":0,"kernel_blocks":6,"#,
-    r#""prefilter_rejects":2,"prefilter_verifies":4,"pool_threads":0,"#,
+    r#""pool_threads":0,"#,
     r#""batch_group_count":0}}"#
 );
 
@@ -61,10 +59,10 @@ const GOLDEN_BATCH: &[&str] = &[
         r#"{"interior":[0.20784980473414225,0.07514280100500509],"top_k":[0,3],"names":["p1","p4"]},"#,
         r#"{"interior":[0.15000000000000002,0.15000000000000002],"top_k":[1,3],"names":["p2","p4"]}],"#,
         r#""stats":{"candidates":4,"bbs_pops":0,"rdom_tests":0,"halfspaces_inserted":10,"#,
-        r#""cells_created":22,"arrangements_built":8,"drills":7,"drill_hits":0,"#,
+        r#""lp_solves":12,"lp_rows":89,"cells_created":22,"arrangements_built":8,"drills":7,"drill_hits":0,"#,
         r#""peak_arrangement_bytes":4096,"kspr_calls":0,"filter_cache_hits":1,"superset_hits":0,"#,
         r#""filter_cache_bytes":1080,"evictions":0,"screen_prefix_skips":0,"kernel_blocks":0,"#,
-        r#""prefilter_rejects":0,"prefilter_verifies":0,"pool_threads":0,"#,
+        r#""pool_threads":0,"#,
         r#""batch_group_count":2}}"#
     ),
     concat!(
