@@ -36,7 +36,7 @@ use crate::parallel::ThreadPool;
 use crate::skyband::{prefilter, CandidateSet, Prefilter};
 use crate::stats::Stats;
 use std::sync::{Arc, Mutex};
-use utk_geom::{Arrangement, CellId, Region};
+use utk_geom::{Arrangement, CellGeom, CellId, Region};
 use utk_rtree::RTree;
 
 /// Tuning/ablation switches for JAA.
@@ -244,9 +244,7 @@ pub(crate) fn records_of(cells: &[Utk2Cell]) -> Vec<u32> {
 /// parallel driver is cell-for-cell identical to the sequential one.
 struct PartitionTask {
     anchor: u32,
-    region: Region,
-    interior: Vec<f64>,
-    slack: f64,
+    geom: CellGeom,
     quota: usize,
     excluded: Vec<bool>,
     known_above: Vec<u32>,
@@ -285,9 +283,7 @@ fn root_task(
     let quota = k - known_above.len();
     PartitionTask {
         anchor,
-        region: region.clone(),
-        interior: interior.to_vec(),
-        slack,
+        geom: CellGeom::new(region.clone(), interior.to_vec(), slack),
         quota,
         excluded,
         known_above,
@@ -325,8 +321,7 @@ fn expand(
     // Insert the half-spaces of the minimal-count competitors.
     let batch: Vec<u32> = cands.graph.minimal_competitors(&task.excluded);
     let (arr, bytes) = crate::obs::span(crate::obs::Phase::Arrange, || {
-        let mut arr =
-            Arrangement::with_interior(task.region.clone(), task.interior.clone(), task.slack);
+        let mut arr = Arrangement::from_geom(task.geom);
         stats.arrangements_built += 1;
         let anchor_pt = &cands.points[task.anchor as usize];
         let anchor_id = cands.ids[task.anchor as usize];
@@ -396,9 +391,7 @@ fn expand(
             }
             children.push(PartitionTask {
                 anchor: new_anchor,
-                region: cell.region().clone(),
-                interior: cell.interior().to_vec(),
-                slack: cell.slack(),
+                geom: cell.geom().clone(),
                 quota: k - known.len(),
                 excluded: fresh,
                 known_above: known,
@@ -485,9 +478,7 @@ fn expand(
                 // simply raise counts), exactly as in Algorithm 4.
                 children.push(PartitionTask {
                     anchor: new_anchor,
-                    region: cell.region().clone(),
-                    interior: cell.interior().to_vec(),
-                    slack: cell.slack(),
+                    geom: cell.geom().clone(),
                     quota: k - k_prime,
                     excluded: fresh,
                     known_above: itop,
@@ -505,9 +496,7 @@ fn expand(
             }
             children.push(PartitionTask {
                 anchor: task.anchor,
-                region: cell.region().clone(),
-                interior: cell.interior().to_vec(),
-                slack: cell.slack(),
+                geom: cell.geom().clone(),
                 quota: task.quota - cnt,
                 excluded,
                 known_above: known,

@@ -44,7 +44,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::Duration;
-use utk_geom::Region;
+use utk_geom::{CellGeom, Region};
 use utk_rtree::RTree;
 
 // --- the work-stealing pool ------------------------------------------
@@ -434,9 +434,7 @@ pub fn rsa_parallel_with_tree(
 /// Shared state of one parallel RSA refinement.
 struct RsaFanout {
     cands: Arc<CandidateSet>,
-    region: Region,
-    interior: Vec<f64>,
-    slack: f64,
+    root: CellGeom,
     k: usize,
     opts: RsaOptions,
     status: Vec<AtomicU8>,
@@ -468,9 +466,7 @@ pub(crate) fn rsa_parallel_refine(
 
     let shared = Arc::new(RsaFanout {
         cands: Arc::clone(cands),
-        region: region.clone(),
-        interior: base_interior.to_vec(),
-        slack: base_slack,
+        root: CellGeom::new(region.clone(), base_interior.to_vec(), base_slack),
         k,
         opts: opts.clone(),
         status: (0..n).map(|_| AtomicU8::new(UNVERIFIED)).collect(),
@@ -517,9 +513,7 @@ fn verify_one(shared: &RsaFanout, v: u32) {
         &shared.opts,
         &mut local,
         v,
-        &shared.region,
-        &shared.interior,
-        shared.slack,
+        &shared.root,
         shared.k - anc.len(),
         shared.k,
         &mut excluded,

@@ -21,7 +21,7 @@
 use crate::drill::graph_top_k;
 use crate::skyband::{prefilter, CandidateSet, Prefilter};
 use crate::stats::Stats;
-use utk_geom::{Arrangement, CellId, Region};
+use utk_geom::{Arrangement, CellGeom, CellId, Region};
 use utk_rtree::RTree;
 
 /// Tuning/ablation switches for RSA. Defaults reproduce the paper's
@@ -132,6 +132,7 @@ pub(crate) fn rsa_refine(
     }
     let mut status = vec![Status::Unverified; n];
     let mut removed = vec![false; n];
+    let root = CellGeom::new(region.clone(), base_interior.to_vec(), base_slack);
 
     // Candidates in decreasing r-dominance count (§4.2); ties by index.
     let mut order: Vec<u32> = (0..n as u32).collect();
@@ -153,9 +154,7 @@ pub(crate) fn rsa_refine(
             opts,
             stats,
             v,
-            region,
-            base_interior,
-            base_slack,
+            &root,
             quota,
             k,
             &mut excluded,
@@ -189,27 +188,14 @@ pub(crate) fn verify_candidate(
     opts: &RsaOptions,
     stats: &mut Stats,
     cand: u32,
-    rho: &Region,
-    rho_interior: &[f64],
-    rho_slack: f64,
+    rho: &CellGeom,
     quota: usize,
     k: usize,
     excluded: &mut [bool],
     removed: &[bool],
 ) -> bool {
     verify(
-        cands,
-        opts,
-        stats,
-        cand,
-        rho,
-        rho_interior,
-        rho_slack,
-        quota,
-        k,
-        excluded,
-        removed,
-        0,
+        cands, opts, stats, cand, rho, quota, k, excluded, removed, 0,
     )
 }
 
@@ -226,9 +212,7 @@ fn verify(
     opts: &RsaOptions,
     stats: &mut Stats,
     cand: u32,
-    rho: &Region,
-    rho_interior: &[f64],
-    rho_slack: f64,
+    rho: &CellGeom,
     quota: usize,
     k: usize,
     excluded: &mut [bool],
@@ -246,7 +230,7 @@ fn verify(
             let p = &cands.points[cand as usize];
             let d = p.len();
             let obj: Vec<f64> = (0..d - 1).map(|i| p[i] - p[d - 1]).collect();
-            match rho.max_linear(&obj) {
+            match rho.region().max_linear(&obj) {
                 Some((w, _)) => graph_top_k(cands, &w, k, removed).contains(&cand),
                 None => false,
             }
@@ -276,7 +260,7 @@ fn verify(
 
     // Local arrangement over rho (§4.5: small and disposable).
     let (arr, bytes) = crate::obs::span(crate::obs::Phase::Arrange, || {
-        let mut arr = Arrangement::with_interior(rho.clone(), rho_interior.to_vec(), rho_slack);
+        let mut arr = Arrangement::from_geom(rho.clone());
         stats.arrangements_built += 1;
         let cand_pt = &cands.points[cand as usize];
         let cand_id = cands.ids[cand as usize];
@@ -359,9 +343,7 @@ fn verify(
             opts,
             stats,
             cand,
-            cell.region(),
-            cell.interior(),
-            cell.slack(),
+            cell.geom(),
             quota - cnt,
             k,
             excluded,

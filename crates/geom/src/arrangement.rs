@@ -2,13 +2,30 @@
 //!
 //! Cells (the paper's *partitions*) are kept implicitly: each cell
 //! records the ids of the inserted half-spaces that cover it and the
-//! ids it lies outside of, plus the explicit constraint list and a
-//! cached interior point. Inserting a half-space walks the live cells
-//! and splits those it straddles — the binary-subdivision scheme of
-//! Tang et al. \[45\] that the paper adopts, in its "many small,
-//! disposable indices" flavour: RSA/JAA build one `Arrangement` per
-//! `Verify`/`Partition` call and discard it when recursion descends
+//! ids it lies outside of, plus its geometry ([`CellGeom`]): the
+//! explicit constraint list, a cached interior point and, while it can
+//! be tracked, the cell's vertex list. Inserting a half-space walks the
+//! live cells and splits those it straddles — the binary-subdivision
+//! scheme of Tang et al. \[45\] that the paper adopts, in its "many
+//! small, disposable indices" flavour: RSA/JAA build one `Arrangement`
+//! per `Verify`/`Partition` call and discard it when recursion descends
 //! into a promising sub-cell.
+//!
+//! Most (half-space, cell) pairs of an insertion leave the cell whole:
+//! the half-space covers it or misses it. A cell with a vertex list
+//! settles those pairs from the signs of the half-space at its
+//! vertices — a *vertex certificate* — and solves a Chebyshev LP only
+//! when the vertices straddle the hyperplane or come within the
+//! certificate margin of it. Splits always solve the LP, so cell
+//! interiors do not depend on whether a list was tracked. The list is
+//! seeded from the base region's corners (boxes) or listed vertices,
+//! clipped at every split, and dropped — for the cell and all its
+//! descendants — when it outgrows `VERTEX_CAP` or a clip cannot bound
+//! its own error. Invariant: a certificate implies the LP would have
+//! found no interior on the certified-away side. Debug builds re-solve
+//! that LP for every certificate and assert it; the
+//! `certificate_agrees_with_lp` proptest in `crates/geom/tests` guards
+//! release builds.
 
 use crate::halfspace::{Constraint, Halfspace};
 use crate::region::Region;
@@ -16,6 +33,33 @@ use crate::tol::INTERIOR_EPS;
 
 /// Identifier of a cell within one [`Arrangement`].
 pub type CellId = usize;
+
+/// Most vertices a cell's list may hold before it is dropped and the
+/// cell (and its descendants) fall back to LPs. Also the corner cap for
+/// seeding: boxes of more than 8 dimensions start without a list.
+const VERTEX_CAP: usize = 256;
+
+/// A vertex within this distance of the hyperplane (in units of the
+/// half-space's `coef·w − rhs`) lies on it and goes to both children
+/// of a split. It bounds the rounding error of evaluating a normalized
+/// half-space at a preference-domain point, with room to spare.
+const SIDE_EPS: f64 = 1e-13;
+
+/// A constraint is tight at a vertex when the vertex satisfies it with
+/// equality up to this residual. Generous on purpose: a missed tight
+/// constraint could lose an edge (and a child vertex), while a spurious
+/// one only adds a point on a segment inside the cell.
+const TIGHT_EPS: f64 = 1e-10;
+
+/// Error budget of a vertex list: the ∞-norm distance by which the
+/// cell may reach beyond the hull of its list, summed over the splits
+/// that produced it. A list whose bound would pass this is dropped.
+const VERTEX_ERR: f64 = 1e-9;
+
+/// How far every vertex must clear the hyperplane, beyond the list's
+/// own error, for a certificate. It covers the rounding of the
+/// evaluation itself.
+const CERT_MARGIN: f64 = 1e-9;
 
 /// Lifecycle of a cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,14 +84,227 @@ pub enum CellPosition {
     Split(CellId, CellId),
 }
 
+/// The geometry of one convex cell: its region, a cached interior
+/// point with the slack around it, and, when known, its vertex list.
+/// A [`Cell`] yields it and an [`Arrangement`] is built from it, so a
+/// recursion that descends into a cell carries all of it as one value.
+#[derive(Debug, Clone)]
+pub struct CellGeom {
+    region: Region,
+    interior: Vec<f64>,
+    slack: f64,
+    vertices: Option<Vertices>,
+}
+
+/// A cell's vertex list, row-major with stride `dim`.
+#[derive(Debug, Clone)]
+struct Vertices {
+    coords: Box<[f64]>,
+    /// Bound on how far (∞-norm) the cell may reach beyond the hull of
+    /// `coords`; at most [`VERTEX_ERR`].
+    err: f64,
+}
+
+impl CellGeom {
+    /// The geometry of `region` with a known interior point (the
+    /// caller vouches for it). The vertex list is seeded from the
+    /// region's box corners or listed vertices, when it has at most
+    /// 256 of them.
+    pub fn new(region: Region, interior: Vec<f64>, slack: f64) -> Self {
+        let vertices = region.vertex_store(VERTEX_CAP).map(|s| Vertices {
+            coords: s.as_flat().into(),
+            err: 0.0,
+        });
+        Self {
+            region,
+            interior,
+            slack,
+            vertices,
+        }
+    }
+
+    /// The cell's region (base region plus side constraints).
+    pub fn region(&self) -> &Region {
+        &self.region
+    }
+
+    /// A point strictly inside the cell.
+    pub fn interior(&self) -> &[f64] {
+        &self.interior
+    }
+
+    /// Interior slack (radius of a ball around [`CellGeom::interior`]
+    /// that fits inside).
+    pub fn slack(&self) -> f64 {
+        self.slack
+    }
+
+    /// The tracked vertices, one row each.
+    pub fn vertices(&self) -> Option<impl Iterator<Item = &[f64]>> {
+        let dim = self.region.dim();
+        self.vertices.as_ref().map(|v| v.coords.chunks_exact(dim))
+    }
+
+    /// Settles the cell against `hs` from its vertices alone:
+    /// `Inside` or `Outside` when every vertex clears the hyperplane by
+    /// the margin on the same side, `None` when an LP must decide.
+    pub fn certify(&self, hs: &Halfspace) -> Option<CellPosition> {
+        let list = self.vertices.as_ref()?;
+        let l1: f64 = hs.coef.iter().map(|c| c.abs()).sum();
+        let margin = CERT_MARGIN + l1 * list.err;
+        let mut rows = list.coords.chunks_exact(self.region.dim());
+        let first = hs.eval(rows.next()?);
+        if first > margin {
+            rows.all(|v| hs.eval(v) > margin)
+                .then_some(CellPosition::Inside)
+        } else if first < -margin {
+            rows.all(|v| hs.eval(v) < -margin)
+                .then_some(CellPosition::Outside)
+        } else {
+            None
+        }
+    }
+
+    /// The two sides of a split by `hs`, given each side's interior
+    /// point and slack (from the LP that found them). The vertex list
+    /// moves to the children: a split cell is never classified again.
+    fn split(
+        &mut self,
+        hs: &Halfspace,
+        inside: (Vec<f64>, f64),
+        outside: (Vec<f64>, f64),
+    ) -> (CellGeom, CellGeom) {
+        let (in_list, out_list) = match self.vertices.take() {
+            Some(list) => list.clip(self.region.dim(), self.region.constraints(), hs),
+            None => (None, None),
+        };
+        let side = |c: Constraint, (interior, slack): (Vec<f64>, f64), vertices| CellGeom {
+            region: self.region.with_constraint(c),
+            interior,
+            slack,
+            vertices,
+        };
+        (
+            side(hs.inside_constraint(), inside, in_list),
+            side(hs.outside_constraint(), outside, out_list),
+        )
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.region.approx_bytes()
+            + self.interior.capacity() * 8
+            + self.vertices.as_ref().map_or(0, |v| v.coords.len() * 8)
+    }
+}
+
+impl Vertices {
+    /// The lists of the two sides of a cut by `hs`, for the cell
+    /// bounded by `constraints`: the inside list, then the outside one.
+    ///
+    /// Each side keeps its own vertices, and vertices on the
+    /// hyperplane go to both. Every pair `u` strictly inside, `w`
+    /// strictly outside that shares at least `dim − 1` constraints
+    /// tight at both adds its crossing point to both sides. Every edge
+    /// of the cell is such a pair, so every vertex of each side is
+    /// produced; any other pair's segment lies inside the cell, so an
+    /// extra point never enlarges a side's hull.
+    ///
+    /// A crossing's position along its segment is known to
+    /// `SIDE_EPS · |w − u|∞ / (h(u) − h(w))`; the same bound covers a
+    /// vertex on the hyperplane standing in for the crossing next to
+    /// it. The worst of these is added to the list's error, and both
+    /// lists are dropped when it passes [`VERTEX_ERR`]. A side is also
+    /// dropped when it has more than [`VERTEX_CAP`] points or too few
+    /// to span a full-dimensional cell.
+    fn clip(
+        &self,
+        dim: usize,
+        constraints: &[Constraint],
+        hs: &Halfspace,
+    ) -> (Option<Self>, Option<Self>) {
+        let rows: Vec<&[f64]> = self.coords.chunks_exact(dim).collect();
+        let h: Vec<f64> = rows.iter().map(|v| hs.eval(v)).collect();
+        let side: Vec<i8> = h
+            .iter()
+            .map(|&x| {
+                if x > SIDE_EPS {
+                    1
+                } else if x < -SIDE_EPS {
+                    -1
+                } else {
+                    0
+                }
+            })
+            .collect();
+
+        // Tight constraints per vertex, as bitsets of `words` words.
+        let words = constraints.len().div_ceil(64);
+        let mut tight = vec![0u64; rows.len() * words];
+        for (v, bits) in rows.iter().zip(tight.chunks_exact_mut(words.max(1))) {
+            for (j, c) in constraints.iter().enumerate() {
+                if c.eval(v).abs() <= TIGHT_EPS {
+                    bits[j / 64] |= 1 << (j % 64);
+                }
+            }
+        }
+        let shared = |i: usize, j: usize| -> usize {
+            (0..words)
+                .map(|w| (tight[i * words + w] & tight[j * words + w]).count_ones() as usize)
+                .sum()
+        };
+
+        let mut crossings = Vec::new();
+        let mut split_err = 0.0_f64;
+        for i in (0..rows.len()).filter(|&i| side[i] >= 0) {
+            for j in (0..rows.len()).filter(|&j| side[j] <= 0) {
+                if (side[i] == 0 && side[j] == 0) || shared(i, j) + 1 < dim {
+                    continue;
+                }
+                let (u, w) = (rows[i], rows[j]);
+                let delta = h[i] - h[j];
+                let span = u
+                    .iter()
+                    .zip(w)
+                    .fold(0.0_f64, |m, (a, b)| m.max((a - b).abs()));
+                split_err = split_err.max(SIDE_EPS * span / delta);
+                if side[i] > 0 && side[j] < 0 {
+                    let t = h[i] / delta;
+                    crossings.extend(u.iter().zip(w).map(|(a, b)| a + t * (b - a)));
+                }
+            }
+        }
+        let err = self.err + split_err;
+        if err.is_nan() || err > VERTEX_ERR {
+            return (None, None);
+        }
+        let keep = |want: i8| -> Option<Self> {
+            let own = side.iter().filter(|&&s| s == 0 || s == want).count();
+            let count = own + crossings.len() / dim;
+            if count <= dim || count > VERTEX_CAP {
+                return None;
+            }
+            let mut coords = Vec::with_capacity(count * dim);
+            for (v, &s) in rows.iter().zip(&side) {
+                if s == 0 || s == want {
+                    coords.extend_from_slice(v);
+                }
+            }
+            coords.extend_from_slice(&crossings);
+            Some(Self {
+                coords: coords.into_boxed_slice(),
+                err,
+            })
+        };
+        (keep(1), keep(-1))
+    }
+}
+
 /// One cell of the arrangement.
 #[derive(Debug, Clone)]
 pub struct Cell {
-    region: Region,
+    geom: CellGeom,
     covered: Vec<u32>,
     outside: Vec<u32>,
-    interior: Vec<f64>,
-    slack: f64,
     state: CellState,
 }
 
@@ -69,19 +326,20 @@ impl Cell {
         &self.outside
     }
 
+    /// The cell's geometry: region, interior point, slack and vertex
+    /// list, as one value a new [`Arrangement`] can be built from.
+    pub fn geom(&self) -> &CellGeom {
+        &self.geom
+    }
+
     /// The cell's geometry (base region plus side constraints).
     pub fn region(&self) -> &Region {
-        &self.region
+        &self.geom.region
     }
 
     /// A cached interior point of the cell.
     pub fn interior(&self) -> &[f64] {
-        &self.interior
-    }
-
-    /// Interior slack (radius of a ball that fits inside).
-    pub fn slack(&self) -> f64 {
-        self.slack
+        &self.geom.interior
     }
 
     /// Current lifecycle state.
@@ -91,9 +349,8 @@ impl Cell {
 
     fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.region.approx_bytes()
+            + self.geom.approx_bytes()
             + (self.covered.capacity() + self.outside.capacity()) * 4
-            + self.interior.capacity() * 8
     }
 }
 
@@ -101,16 +358,17 @@ impl Cell {
 /// base region.
 #[derive(Debug, Clone)]
 pub struct Arrangement {
-    base: Region,
     halfspaces: Vec<Halfspace>,
     tags: Vec<u32>,
+    /// Every cell ever created; the root (the base region) is first.
     cells: Vec<Cell>,
     lp: LpWork,
 }
 
 /// The linear programs an [`Arrangement`] has solved: the root
 /// interior point (when [`Arrangement::new`] found it) plus every
-/// cell-versus-half-space interior test of an insertion.
+/// cell-versus-half-space interior test of an insertion. Vertex
+/// certificates solve nothing and are not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LpWork {
     /// LPs solved.
@@ -134,39 +392,37 @@ impl Arrangement {
         if slack <= INTERIOR_EPS {
             return None;
         }
-        let mut arr = Self::with_interior(base, interior, slack);
-        arr.lp.solved(arr.base.constraints().len());
+        let rows = base.constraints().len();
+        let mut arr = Self::from_geom(CellGeom::new(base, interior, slack));
+        arr.lp.solved(rows);
         Some(arr)
     }
 
-    /// Starts an arrangement over `base` reusing a known interior
-    /// point (skips one LP; the caller vouches for the point).
-    pub fn with_interior(base: Region, interior: Vec<f64>, slack: f64) -> Self {
-        let root = Cell {
-            region: base.clone(),
-            covered: Vec::new(),
-            outside: Vec::new(),
-            interior,
-            slack,
-            state: CellState::Live,
-        };
+    /// Starts an arrangement over a known cell geometry — typically a
+    /// cell of an earlier arrangement, whose interior point and vertex
+    /// list carry over (skips the root LP).
+    pub fn from_geom(root: CellGeom) -> Self {
         Self {
-            base,
             halfspaces: Vec::new(),
             tags: Vec::new(),
-            cells: vec![root],
+            cells: vec![Cell {
+                geom: root,
+                covered: Vec::new(),
+                outside: Vec::new(),
+                state: CellState::Live,
+            }],
             lp: LpWork::default(),
         }
     }
 
     /// The base region the arrangement subdivides.
     pub fn base(&self) -> &Region {
-        &self.base
+        &self.cells[0].geom.region
     }
 
     /// Preference-domain dimensionality.
     pub fn dim(&self) -> usize {
-        self.base.dim()
+        self.base().dim()
     }
 
     /// The linear programs solved so far.
@@ -227,42 +483,60 @@ impl Arrangement {
     /// Whether cell `ci` keeps a full-dimensional part under the extra
     /// constraint `c` (one counted LP).
     fn probe(&mut self, ci: CellId, c: &Constraint) -> Option<(Vec<f64>, f64)> {
-        let region = &self.cells[ci].region;
+        let region = &self.cells[ci].geom.region;
         self.lp.solved(region.constraints().len() + 1);
         region.has_interior_with(c)
+    }
+
+    /// Records that half-space `id` covers cell `ci` (`covers`) or
+    /// misses it.
+    fn mark(&mut self, ci: CellId, id: u32, covers: bool) -> CellPosition {
+        let cell = &mut self.cells[ci];
+        if covers {
+            cell.covered.push(id);
+            CellPosition::Inside
+        } else {
+            cell.outside.push(id);
+            CellPosition::Outside
+        }
     }
 
     /// Decides the position of cell `ci` relative to `hs` and applies
     /// the outcome (cover/outside marking or a split).
     fn classify_and_split(&mut self, ci: CellId, hs: &Halfspace, id: u32) -> CellPosition {
-        let val = hs.eval(&self.cells[ci].interior);
+        if let Some(pos) = self.cells[ci].geom.certify(hs) {
+            #[cfg(debug_assertions)]
+            {
+                // The certified-away side must have no interior: the
+                // LP the certificate replaced would have said so too.
+                let away = match pos {
+                    CellPosition::Inside => hs.outside_constraint(),
+                    _ => hs.inside_constraint(),
+                };
+                let region = &self.cells[ci].geom.region;
+                assert!(
+                    region.has_interior_with(&away).is_none(),
+                    "vertex certificate {pos:?} contradicts the LP for {hs:?} over {region:?}"
+                );
+            }
+            return self.mark(ci, id, pos == CellPosition::Inside);
+        }
+
+        let val = hs.eval(&self.cells[ci].geom.interior);
         // The side holding the cached interior point is non-empty
         // whenever the point clears the hyperplane by a safe margin.
         let margin = INTERIOR_EPS;
+        let keep_parent = |cell: &Cell| (cell.geom.interior.clone(), cell.geom.slack);
         let (in_side, out_side) = if val > margin {
             // Interior point is inside; probe the outside part.
-            let out = self.probe(ci, &hs.outside_constraint());
-            match out {
-                None => {
-                    self.cells[ci].covered.push(id);
-                    return CellPosition::Inside;
-                }
-                Some(o) => {
-                    let inn = (self.cells[ci].interior.clone(), self.cells[ci].slack);
-                    (inn, o)
-                }
+            match self.probe(ci, &hs.outside_constraint()) {
+                None => return self.mark(ci, id, true),
+                Some(o) => (keep_parent(&self.cells[ci]), o),
             }
         } else if val < -margin {
-            let inn = self.probe(ci, &hs.inside_constraint());
-            match inn {
-                None => {
-                    self.cells[ci].outside.push(id);
-                    return CellPosition::Outside;
-                }
-                Some(i) => {
-                    let out = (self.cells[ci].interior.clone(), self.cells[ci].slack);
-                    (i, out)
-                }
+            match self.probe(ci, &hs.inside_constraint()) {
+                None => return self.mark(ci, id, false),
+                Some(i) => (i, keep_parent(&self.cells[ci])),
             }
         } else {
             // Interior point sits (numerically) on the hyperplane:
@@ -271,43 +545,28 @@ impl Arrangement {
             let out = self.probe(ci, &hs.outside_constraint());
             match (inn, out) {
                 (Some(i), Some(o)) => (i, o),
-                (Some(_), None) => {
-                    self.cells[ci].covered.push(id);
-                    return CellPosition::Inside;
-                }
-                (None, Some(_)) => {
-                    self.cells[ci].outside.push(id);
-                    return CellPosition::Outside;
-                }
-                (None, None) => {
-                    // Degenerate sliver; classify by the point's side.
-                    if val >= 0.0 {
-                        self.cells[ci].covered.push(id);
-                        return CellPosition::Inside;
-                    }
-                    self.cells[ci].outside.push(id);
-                    return CellPosition::Outside;
-                }
+                (Some(_), None) => return self.mark(ci, id, true),
+                (None, Some(_)) => return self.mark(ci, id, false),
+                // Degenerate sliver; classify by the point's side.
+                (None, None) if val >= 0.0 => return self.mark(ci, id, true),
+                (None, None) => return self.mark(ci, id, false),
             }
         };
 
         // Split: both sides are full-dimensional.
+        let (in_geom, out_geom) = self.cells[ci].geom.split(hs, in_side, out_side);
         let parent = &self.cells[ci];
         let mut inside_cell = Cell {
-            region: parent.region.with_constraint(hs.inside_constraint()),
+            geom: in_geom,
             covered: parent.covered.clone(),
             outside: parent.outside.clone(),
-            interior: in_side.0,
-            slack: in_side.1,
             state: CellState::Live,
         };
         inside_cell.covered.push(id);
         let mut outside_cell = Cell {
-            region: parent.region.with_constraint(hs.outside_constraint()),
+            geom: out_geom,
             covered: parent.covered.clone(),
             outside: parent.outside.clone(),
-            interior: out_side.0,
-            slack: out_side.1,
             state: CellState::Live,
         };
         outside_cell.outside.push(id);
@@ -360,9 +619,9 @@ impl Arrangement {
         self.live_cells().count()
     }
 
-    /// Rough live-memory estimate (Figure 13(b) space accounting).
-    /// The [`LpWork`] counters are bookkeeping, not index, so they are
-    /// left out.
+    /// Rough live-memory estimate (Figure 13(b) space accounting),
+    /// vertex lists included. The [`LpWork`] counters are bookkeeping,
+    /// not index, so they are left out.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>() - std::mem::size_of::<LpWork>()
             + self
@@ -443,8 +702,30 @@ mod tests {
                 rows: 14
             }
         );
-        // A covering half-space costs one probe per live cell, each over
-        // the cell's 5 rows plus the probe's own.
+        // A covering half-space clears every vertex of both halves:
+        // their vertex certificates settle it without an LP.
+        arr.insert(Halfspace::ge(vec![1.0, 1.0], -1.0), 1);
+        assert_eq!(
+            arr.lp_work(),
+            LpWork {
+                solves: 3,
+                rows: 14
+            }
+        );
+        // A caller-supplied interior point skips the root LP.
+        let seeded = Arrangement::from_geom(CellGeom::new(unit_box(), vec![0.5, 0.5], 0.5));
+        assert_eq!(seeded.lp_work(), LpWork::default());
+    }
+
+    #[test]
+    fn vertexless_cells_settle_by_lp() {
+        // The same box given by constraints alone has no vertex list:
+        // the covering half-space costs one probe per live cell, each
+        // over the cell's 5 rows plus the probe's own.
+        let raw = Region::from_constraints(2, unit_box().constraints().to_vec());
+        let mut arr = Arrangement::new(raw).unwrap();
+        assert!(arr.cell(0).geom().vertices().is_none());
+        arr.insert(Halfspace::ge(vec![1.0, 0.0], 0.5), 0);
         arr.insert(Halfspace::ge(vec![1.0, 1.0], -1.0), 1);
         assert_eq!(
             arr.lp_work(),
@@ -453,9 +734,39 @@ mod tests {
                 rows: 26
             }
         );
-        // A caller-supplied interior point skips the root LP.
-        let seeded = Arrangement::with_interior(unit_box(), vec![0.5, 0.5], 0.5);
-        assert_eq!(seeded.lp_work(), LpWork::default());
+    }
+
+    #[test]
+    fn splits_clip_vertex_lists() {
+        let mut arr = Arrangement::new(unit_box()).unwrap();
+        // w1 ≥ 0.5 halves the box: each half has its own two corners
+        // plus the two crossings (0.5, 0) and (0.5, 1).
+        arr.insert(Halfspace::ge(vec![1.0, 0.0], 0.5), 0);
+        for (_, cell) in arr.live_cells() {
+            let mut vs: Vec<Vec<f64>> = cell
+                .geom()
+                .vertices()
+                .unwrap()
+                .map(<[f64]>::to_vec)
+                .collect();
+            vs.sort_by(|a, b| a[0].total_cmp(&b[0]).then(a[1].total_cmp(&b[1])));
+            let x = if cell.count() == 1 { 1.0 } else { 0.0 };
+            let mut want: Vec<Vec<f64>> =
+                vec![vec![0.5, 0.0], vec![0.5, 1.0], vec![x, 0.0], vec![x, 1.0]];
+            want.sort_by(|a, b| a[0].total_cmp(&b[0]).then(a[1].total_cmp(&b[1])));
+            assert_eq!(vs, want);
+        }
+        // A cut through the corner (0.5, 0) of the right half and its
+        // edge point (1, 0.5) keeps that corner on both sides: a
+        // triangle and a quadrilateral.
+        arr.insert(Halfspace::ge(vec![1.0, -1.0], 0.5), 1);
+        let right: Vec<_> = arr
+            .live_cells()
+            .filter(|(_, c)| c.interior()[0] > 0.5)
+            .map(|(_, c)| c.geom().vertices().unwrap().count())
+            .collect();
+        assert_eq!(right.len(), 2);
+        assert!(right.contains(&3) && right.contains(&4));
     }
 
     #[test]
@@ -616,7 +927,7 @@ mod tests {
         assert!(arr.num_live() >= 9, "a fan of 8 lines makes ≥ 9 cells");
         for (_, cell) in arr.live_cells() {
             assert!(cell.region().contains(cell.interior()));
-            assert!(cell.slack() > 0.0);
+            assert!(cell.geom().slack() > 0.0);
         }
     }
 }

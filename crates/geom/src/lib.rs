@@ -44,7 +44,7 @@ pub mod simplex;
 pub mod store;
 pub mod tol;
 
-pub use arrangement::{Arrangement, Cell, CellId, CellPosition, LpWork};
+pub use arrangement::{Arrangement, Cell, CellGeom, CellId, CellPosition, LpWork};
 pub use halfspace::{Constraint, Halfspace};
 pub use hull::{hull_membership, upper_hull_2d};
 pub use lp::{LinearProgram, LpOutcome};

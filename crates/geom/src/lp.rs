@@ -100,30 +100,10 @@ impl LinearProgram {
     /// full-dimensional feasible region. Returns `None` if even the
     /// closed region is empty.
     pub fn interior_point(&self) -> Option<(Vec<f64>, f64)> {
-        // Augment with a slack variable t: a·x + t·‖a‖₂ ≤ b, t ≤ 1.
-        let n = self.num_vars;
-        let mut a = Vec::with_capacity(self.a.len() + 1);
-        for row in &self.a {
-            let norm = row.iter().map(|v| v * v).sum::<f64>().sqrt();
-            let mut aug = Vec::with_capacity(n + 1);
-            aug.extend_from_slice(row);
-            aug.push(if norm > 0.0 { norm } else { 1.0 });
-            a.push(aug);
-        }
-        let mut cap = vec![0.0; n + 1];
-        cap[n] = 1.0;
-        a.push(cap);
-        let mut b = self.b.clone();
-        b.push(1.0);
-        let mut c = vec![0.0; n + 1];
-        c[n] = 1.0;
-        match solve_standard(n + 1, &a, &b, &c) {
-            SimplexOutcome::Optimal { mut x, value } => {
-                x.truncate(n);
-                Some((x, value))
-            }
-            _ => None,
-        }
+        max_slack_point(
+            self.num_vars,
+            self.a.iter().map(Vec::as_slice).zip(self.b.iter().copied()),
+        )
     }
 
     /// True if the region has a point with slack exceeding
@@ -131,6 +111,41 @@ impl LinearProgram {
     pub fn has_interior(&self) -> bool {
         self.interior_point()
             .is_some_and(|(_, slack)| slack > INTERIOR_EPS)
+    }
+}
+
+/// The max-slack LP of [`LinearProgram::interior_point`] over the rows
+/// `a·x ≤ b` yielded by `rows`, built in one pass: each row is copied
+/// once, straight into its augmented form `a·x + t·‖a‖₂ ≤ b`.
+pub(crate) fn max_slack_point<'a>(
+    num_vars: usize,
+    rows: impl Iterator<Item = (&'a [f64], f64)>,
+) -> Option<(Vec<f64>, f64)> {
+    // Augment with a slack variable t: a·x + t·‖a‖₂ ≤ b, t ≤ 1.
+    let n = num_vars;
+    let m = rows.size_hint().0 + 1;
+    let mut a = Vec::with_capacity(m);
+    let mut b = Vec::with_capacity(m);
+    for (row, rhs) in rows {
+        let norm = row.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let mut aug = Vec::with_capacity(n + 1);
+        aug.extend_from_slice(row);
+        aug.push(if norm > 0.0 { norm } else { 1.0 });
+        a.push(aug);
+        b.push(rhs);
+    }
+    let mut cap = vec![0.0; n + 1];
+    cap[n] = 1.0;
+    a.push(cap);
+    b.push(1.0);
+    let mut c = vec![0.0; n + 1];
+    c[n] = 1.0;
+    match solve_standard(n + 1, &a, &b, &c) {
+        SimplexOutcome::Optimal { mut x, value } => {
+            x.truncate(n);
+            Some((x, value))
+        }
+        _ => None,
     }
 }
 

@@ -8,7 +8,7 @@
 //! processing, since the preference domain itself does.
 
 use crate::halfspace::Constraint;
-use crate::lp::{LinearProgram, LpOutcome};
+use crate::lp::{max_slack_point, LinearProgram, LpOutcome};
 use crate::tol::INTERIOR_EPS;
 
 #[derive(Debug, Clone)]
@@ -292,7 +292,12 @@ impl Region {
     /// region is non-empty. `slack > INTERIOR_EPS` certifies a
     /// full-dimensional region.
     pub fn interior_point(&self) -> Option<(Vec<f64>, f64)> {
-        self.lp().interior_point()
+        max_slack_point(self.dim, self.rows())
+    }
+
+    /// The constraints as `(a, b)` rows of `a·w ≤ b`, in order.
+    fn rows(&self) -> impl Iterator<Item = (&[f64], f64)> {
+        self.constraints.iter().map(|c| (c.a.as_slice(), c.b))
     }
 
     /// True if the region contains a full-dimensional ball.
@@ -328,10 +333,14 @@ impl Region {
 
     /// Checks whether adding `c` to the region leaves a
     /// full-dimensional set (a common arrangement sub-step).
+    ///
+    /// Builds the max-slack LP straight from the constraint rows plus
+    /// `c`, with the same rows in the same order as
+    /// `self.with_constraint(c).interior_point()`, so the two agree bit
+    /// for bit.
     pub fn has_interior_with(&self, c: &Constraint) -> Option<(Vec<f64>, f64)> {
-        let mut lp = self.lp();
-        lp.add_le(c.a.clone(), c.b);
-        lp.interior_point()
+        let extra = std::iter::once((c.a.as_slice(), c.b));
+        max_slack_point(self.dim, self.rows().chain(extra))
             .filter(|(_, slack)| *slack > INTERIOR_EPS)
     }
 }
@@ -513,6 +522,43 @@ mod tests {
         assert_eq!(s.vertex_store(64).unwrap().len(), 3);
         let raw = Region::from_constraints(2, r.constraints().to_vec());
         assert!(raw.vertex_store(64).is_none());
+    }
+
+    #[test]
+    fn has_interior_with_matches_with_constraint_bitwise() {
+        use rand::prelude::*;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(19);
+        for _ in 0..200 {
+            let dim = rng.gen_range(2..5);
+            let lo: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.0..0.2)).collect();
+            let hi: Vec<f64> = lo.iter().map(|l| l + rng.gen_range(0.01..0.2)).collect();
+            let mut cell = Region::hyperrect(lo, hi);
+            let cut = |rng: &mut rand_chacha::ChaCha8Rng| {
+                let a: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                Constraint::le(a, rng.gen_range(-0.1..0.3))
+            };
+            for _ in 0..rng.gen_range(0..6) {
+                let c = cut(&mut rng);
+                if cell.has_interior_with(&c).is_some() {
+                    cell = cell.with_constraint(c);
+                }
+            }
+            let c = cut(&mut rng);
+            let fused = cell.has_interior_with(&c);
+            let reference = cell
+                .with_constraint(c)
+                .interior_point()
+                .filter(|(_, slack)| *slack > INTERIOR_EPS);
+            let bits = |r: Option<(Vec<f64>, f64)>| {
+                r.map(|(p, s)| {
+                    (
+                        p.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        s.to_bits(),
+                    )
+                })
+            };
+            assert_eq!(bits(fused), bits(reference));
+        }
     }
 
     #[test]

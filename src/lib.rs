@@ -256,6 +256,21 @@
 //!   [`without_blocked_kernel`](core::engine::UtkEngine::without_blocked_kernel)
 //!   scalar twin — the CI `screen-kernel-fuzz` job re-runs the suite
 //!   at 256 cases in release mode.
+//! * **A vertex certificate implies the LP finds no interior.** An
+//!   arrangement cell with a vertex list settles a half-space as
+//!   covering or missing it when every vertex clears the hyperplane by
+//!   a margin ([`geom::CellGeom::certify`]); the Chebyshev LP it
+//!   replaces would have returned `None` on the certified-away side.
+//!   Splits still solve that LP, so records, cells and interior points
+//!   are byte-identical with or without certificates; only
+//!   `lp_solves`/`lp_rows` fall. Enforced at two seams: debug builds
+//!   re-solve the LP for every certificate inside
+//!   [`geom::Arrangement::insert`] and assert it, which makes the whole
+//!   debug test suite a differential test; and the
+//!   `certificate_agrees_with_lp` proptest in
+//!   `crates/geom/tests/certificates.rs` checks certificates and vertex
+//!   lists against the LP in release (CI job `arrangement-cert-fuzz`,
+//!   256 cases).
 //! * **Timings never enter the deterministic wire format.** Query
 //!   phase timings ([`core::obs::PhaseTimings`], carried on
 //!   [`Stats::timings`](core::stats::Stats)) are scheduling- and

@@ -555,5 +555,22 @@ fn anti_utk2_lp_bill_is_pinned() {
     let s = &res.stats;
     assert_eq!((res.records.len(), res.cells.len()), (17, 381));
     assert_eq!((s.halfspaces_inserted, s.cells_created), (3553, 1498));
-    assert_eq!((s.lp_solves, s.lp_rows), (4060, 72792));
+    assert_eq!((s.lp_solves, s.lp_rows), (910, 15926));
+}
+
+/// The same dataset and box under RSA's UTK1 refinement: the other
+/// path that builds arrangements (one per `verify` call), pinned as a
+/// work bound like the UTK2 bill above.
+#[test]
+fn anti_rsa_utk1_lp_bill_is_pinned() {
+    let ds = generate(Distribution::Anti, 2_000, 4, 7);
+    let engine = UtkEngine::new(ds.points).unwrap();
+    let region = Region::hyperrect(vec![0.2422, 0.2462, 0.2435], vec![0.2522, 0.2562, 0.2535]);
+    let res = engine
+        .run(&UtkQuery::utk1(5).region(region).algorithm(Algo::Rsa))
+        .unwrap();
+    let s = res.stats();
+    assert_eq!(res.records().len(), 17);
+    assert_eq!((s.halfspaces_inserted, s.cells_created), (84, 145));
+    assert_eq!((s.lp_solves, s.lp_rows), (66, 656));
 }

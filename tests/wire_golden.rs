@@ -60,7 +60,7 @@ const GOLDEN_BATCH: &[&str] = &[
         r#"{"interior":[0.15000000000000002,0.15000000000000002],"top_k":[1,3],"names":["p2","p4"]}],"#,
         r#""stats":{"candidates":4,"bbs_pops":0,"rdom_tests":0,"halfspaces_inserted":10,"#,
         r#""lp_solves":12,"lp_rows":89,"cells_created":22,"arrangements_built":8,"drills":7,"drill_hits":0,"#,
-        r#""peak_arrangement_bytes":4096,"kspr_calls":0,"filter_cache_hits":1,"superset_hits":0,"#,
+        r#""peak_arrangement_bytes":4440,"kspr_calls":0,"filter_cache_hits":1,"superset_hits":0,"#,
         r#""filter_cache_bytes":1080,"evictions":0,"screen_prefix_skips":0,"kernel_blocks":0,"#,
         r#""pool_threads":0,"#,
         r#""batch_group_count":2}}"#
