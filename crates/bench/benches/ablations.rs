@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use utk_core::drill::graph_top_k;
 use utk_core::prelude::*;
-use utk_core::skyband::r_skyband;
+use utk_core::skyband::TreeView;
 use utk_core::stats::Stats;
 use utk_data::queries::random_regions;
 use utk_data::synthetic::{generate, Distribution};
@@ -67,7 +67,20 @@ fn ablate_pivot_order(c: &mut Criterion) {
     g.sample_size(10);
     for (name, pivot) in [("pivot", true), ("coord_sum", false)] {
         g.bench_function(name, |b| {
-            b.iter(|| r_skyband(&store, &tree, &region, 10, pivot, &mut Stats::new()))
+            b.iter(|| {
+                r_skyband(
+                    Source::Tree {
+                        points: &store,
+                        view: TreeView::packed(&tree),
+                    },
+                    &region,
+                    10,
+                    pivot,
+                    ScreenKernel::default(),
+                    &mut Stats::new(),
+                )
+                .unwrap()
+            })
         });
     }
     g.finish();
@@ -115,13 +128,17 @@ fn ablate_anchor_strategy(c: &mut Criterion) {
 fn ablate_drill_topk_source(c: &mut Criterion) {
     let (points, tree, region) = workload(Distribution::Ind, 20_000, 4, 0.05);
     let cands = r_skyband(
-        &PointStore::from_rows(&points),
-        &tree,
+        Source::Tree {
+            points: &PointStore::from_rows(&points),
+            view: TreeView::packed(&tree),
+        },
         &region,
         10,
         true,
+        ScreenKernel::default(),
         &mut Stats::new(),
-    );
+    )
+    .unwrap();
     let removed = vec![false; cands.len()];
     let w = region.pivot().unwrap();
     let mut g = c.benchmark_group("ablation_drill_topk");

@@ -20,6 +20,7 @@
 
 use utk_bench::{query_workload, Config, Table};
 use utk_core::prelude::*;
+use utk_core::skyband::TreeView;
 use utk_data::synthetic::{generate, Distribution};
 use utk_geom::Region;
 use utk_rtree::RTree;
@@ -96,11 +97,41 @@ fn main() {
     let mut identical = true;
     for qb in &bases {
         let outer = Region::hyperrect(qb.lo.clone(), qb.hi.clone());
-        let sup = r_skyband(&store, &tree, &outer, K, true, &mut Stats::new());
+        let sup = r_skyband(
+            Source::Tree {
+                points: &store,
+                view: TreeView::packed(&tree),
+            },
+            &outer,
+            K,
+            true,
+            ScreenKernel::default(),
+            &mut Stats::new(),
+        )
+        .unwrap();
         for z in 1..=ZOOMS {
             let inner = zoom_region(&qb.lo, &qb.hi, z);
-            let cold = r_skyband(&store, &tree, &inner, K, true, &mut Stats::new());
-            let warm = r_skyband_from_superset(&sup, &inner, K, &mut Stats::new());
+            let cold = r_skyband(
+                Source::Tree {
+                    points: &store,
+                    view: TreeView::packed(&tree),
+                },
+                &inner,
+                K,
+                true,
+                ScreenKernel::default(),
+                &mut Stats::new(),
+            )
+            .unwrap();
+            let warm = r_skyband(
+                Source::Superset(&sup),
+                &inner,
+                K,
+                true,
+                ScreenKernel::default(),
+                &mut Stats::new(),
+            )
+            .unwrap();
             identical &= warm == cold;
         }
     }
@@ -112,7 +143,18 @@ fn main() {
     let mut ablation = Stats::new();
     for qb in &bases {
         let region = Region::hyperrect(qb.lo.clone(), qb.hi.clone());
-        r_skyband(&store, &tree, &region, K, false, &mut ablation);
+        r_skyband(
+            Source::Tree {
+                points: &store,
+                view: TreeView::packed(&tree),
+            },
+            &region,
+            K,
+            false,
+            ScreenKernel::default(),
+            &mut ablation,
+        )
+        .unwrap();
     }
     let ablation_saved = ablation.screen_prefix_skips as f64
         / (ablation.screen_prefix_skips + ablation.rdom_tests).max(1) as f64;

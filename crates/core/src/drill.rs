@@ -102,7 +102,8 @@ pub fn graph_top_k(cands: &CandidateSet, w: &[f64], k: usize, removed: &[bool]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skyband::r_skyband;
+    use crate::rdominance::ScreenKernel;
+    use crate::skyband::{r_skyband, Source, TreeView};
     use crate::stats::Stats;
     use crate::topk::top_k_brute;
     use rand::prelude::*;
@@ -117,7 +118,18 @@ mod tests {
         let region = Region::hyperrect(vec![0.2, 0.15], vec![0.35, 0.3]);
         let tree = RTree::bulk_load(&pts);
         let store = utk_geom::PointStore::from_rows(&pts);
-        let cands = r_skyband(&store, &tree, &region, 5, true, &mut Stats::new());
+        let cands = r_skyband(
+            Source::Tree {
+                points: &store,
+                view: TreeView::packed(&tree),
+            },
+            &region,
+            5,
+            true,
+            ScreenKernel::default(),
+            &mut Stats::new(),
+        )
+        .unwrap();
         (pts, region, cands)
     }
 

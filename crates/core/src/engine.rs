@@ -64,9 +64,7 @@ use crate::rdominance::ScreenKernel;
 use crate::rsa::{rsa_refine, RsaOptions, Utk1Result};
 use crate::scoring::GeneralScoring;
 use crate::skyband::{
-    r_skyband_from_superset_with_kernel, r_skyband_repair_inserts_with_kernel,
-    r_skyband_repair_with_kernel, r_skyband_view_with_kernel, rejected_by_members, top_k_tree,
-    CandidateSet, TreeView, TOMBSTONE,
+    r_skyband, rejected_by_members, top_k_tree, CandidateSet, Source, TreeView, TOMBSTONE,
 };
 use crate::stats::Stats;
 use utk_geom::tol::INTERIOR_EPS;
@@ -1642,12 +1640,10 @@ impl UtkEngine {
     /// provably unaffected → re-keyed (ids remapped) as-is;
     /// affected but plain-scoring → **splice-repaired** — re-screened
     /// incrementally against the next version
-    /// ([`crate::skyband::r_skyband_repair`] /
-    /// [`crate::skyband::r_skyband_repair_inserts`]), byte-identical
-    /// to a cold run on
-    /// the new dataset; otherwise dropped. Returns `(invalidated,
-    /// retained, repaired)`, where repaired entries also count as
-    /// retained.
+    /// ([`crate::skyband::Source::Repair`]), byte-identical to a cold
+    /// run on the new dataset; otherwise dropped. Returns
+    /// `(invalidated, retained, repaired)`, where repaired entries also
+    /// count as retained.
     #[allow(clippy::too_many_arguments)]
     fn rekey_filter_cache(
         &self,
@@ -1711,44 +1707,28 @@ impl UtkEngine {
             // hold. The repaired set is byte-identical to a cold run,
             // so a later cache hit answers exactly like a fresh build.
             if self.inner.repair_enabled && key.scoring.is_empty() {
-                let mut rstats = Stats::new();
-                let repaired_set = if member_deleted {
-                    let old_ids_new: Vec<u32> = entry
-                        .cands
-                        .ids
-                        .iter()
-                        .map(|&id| shift[id as usize])
-                        .collect();
-                    r_skyband_repair_with_kernel(
-                        &entry.cands,
-                        &old_ids_new,
-                        &live_inserts,
-                        &next.store,
-                        &next.tree_view(),
-                        &entry.region,
-                        key.k,
-                        key.pivot_order,
-                        self.inner.kernel,
-                        &mut rstats,
-                    )
-                } else {
-                    // No member deleted: renumber the survivors, then
-                    // merge-splice the admissible inserts in without
-                    // touching the tree.
-                    if !deletes.is_empty() {
-                        renumber(&mut entry.cands, shift);
-                    }
-                    r_skyband_repair_inserts_with_kernel(
-                        &entry.cands,
-                        &live_inserts,
-                        &next.store,
-                        &entry.region,
-                        key.k,
-                        key.pivot_order,
-                        self.inner.kernel,
-                        &mut rstats,
-                    )
+                let old_ids_new: Vec<u32> = entry
+                    .cands
+                    .ids
+                    .iter()
+                    .map(|&id| shift[id as usize])
+                    .collect();
+                let source = Source::Repair {
+                    old: &entry.cands,
+                    old_ids_new: &old_ids_new,
+                    live_inserts: &live_inserts,
+                    points: &next.store,
+                    view: next.tree_view(),
                 };
+                let mut rstats = Stats::new();
+                let repaired_set = r_skyband(
+                    source,
+                    &entry.region,
+                    key.k,
+                    key.pivot_order,
+                    self.inner.kernel,
+                    &mut rstats,
+                );
                 if let Some(cands) = repaired_set {
                     self.inner
                         .repair_screens
@@ -2336,9 +2316,8 @@ impl UtkEngine {
     /// 2. **superset reuse** (pivot order only): a cached entry whose
     ///    region *contains* this query's region, with the same `k` and
     ///    scoring, is re-screened via
-    ///    [`crate::skyband::r_skyband_from_superset`] — byte-identical
-    ///    to a cold run
-    ///    at a fraction of the dominance tests;
+    ///    [`crate::skyband::Source::Superset`] — byte-identical to a
+    ///    cold run at a fraction of the dominance tests;
     /// 3. a cold BBS run over the R-tree.
     ///
     /// Both miss paths insert their result (evicting LRU entries past
@@ -2399,33 +2378,27 @@ impl UtkEngine {
         superset: Option<&CandidateSet>,
         stats: &mut Stats,
     ) -> Arc<CandidateSet> {
-        Arc::new(match superset {
+        let (source, phase) = match superset {
             Some(sup) => {
                 self.inner.superset_hits.fetch_add(1, Ordering::Relaxed);
                 stats.superset_hits = 1;
                 // Pure screen-kernel work (no BBS): its own phase.
-                obs::span(Phase::Screen, || {
-                    r_skyband_from_superset_with_kernel(
-                        sup,
-                        region,
-                        query.k,
-                        self.inner.kernel,
-                        stats,
-                    )
-                })
+                (Source::Superset(sup), Phase::Screen)
             }
-            None => obs::span(Phase::Filter, || {
-                r_skyband_view_with_kernel(
-                    data.store(),
-                    &data.tree_view(),
-                    region,
-                    query.k,
-                    query.pivot_order(),
-                    self.inner.kernel,
-                    stats,
-                )
-            }),
-        })
+            None => {
+                let source = Source::Tree {
+                    points: data.store(),
+                    view: data.tree_view(),
+                };
+                (source, Phase::Filter)
+            }
+        };
+        let (k, pivot_order, kernel) = (query.k, query.pivot_order(), self.inner.kernel);
+        let cands = obs::span(phase, || {
+            r_skyband(source, region, k, pivot_order, kernel, stats)
+        });
+        // utk-lint: allow(panic) -- invariant: only a repair source yields None
+        Arc::new(cands.expect("tree or superset source"))
     }
 
     /// Caches a computed filter step under `key`, first marking

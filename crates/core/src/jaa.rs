@@ -21,7 +21,7 @@
 //! vector in `R`.
 //!
 //! The recursion is materialized as an explicit task model
-//! ([`PartitionTask`]/[`expand`]): a task is one `Partition` call,
+//! (`PartitionTask`/`expand`): a task is one `Partition` call,
 //! its children are the leaves needing further work. The sequential
 //! driver runs tasks depth-first on one thread; the parallel driver
 //! ([`jaa_parallel`], or [`crate::engine::UtkQuery::parallel`] on an

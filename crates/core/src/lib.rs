@@ -58,8 +58,8 @@
 //! | [`skyband`] | §2 BBS k-skyband, §4.1 r-skyband filtering |
 //! | [`graph`] | §4.1 r-dominance graph `G` |
 //! | [`drill`] | §4.3 drill optimization (graph top-k) |
-//! | [`rsa`] | §4 RSA algorithm (UTK1) |
-//! | [`jaa`] | §5 JAA algorithm (UTK2) |
+//! | [`rsa`](mod@rsa) | §4 RSA algorithm (UTK1) |
+//! | [`jaa`](mod@jaa) | §5 JAA algorithm (UTK2) |
 //! | [`scoring`] | §6 generalized scoring functions |
 //! | [`parallel`] | work-stealing pool, parallel RSA/JAA (extension beyond the paper) |
 //! | [`obs`] | §6 wall-clock measurement substrate (extension beyond the paper) |
@@ -110,10 +110,7 @@ pub mod prelude {
     pub use crate::rdominance::ScreenKernel;
     pub use crate::rsa::{rsa, rsa_with_tree, RsaOptions, Utk1Result};
     pub use crate::scoring::GeneralScoring;
-    pub use crate::skyband::{
-        k_skyband, r_skyband, r_skyband_from_superset, r_skyband_from_superset_with_kernel,
-        r_skyband_with_kernel, CandidateSet,
-    };
+    pub use crate::skyband::{k_skyband, r_skyband, CandidateSet, Source};
     pub use crate::stats::Stats;
     pub use utk_geom::{PointStore, PointStoreBuilder, Region};
 }

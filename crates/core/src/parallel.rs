@@ -34,7 +34,7 @@
 //! publish confirmations through an atomic status array. Results are
 //! bit-identical to [`crate::rsa::rsa`].
 //!
-//! Parallel JAA lives in [`crate::jaa`]; it shares the pool through
+//! Parallel JAA lives in [`crate::jaa`](mod@crate::jaa); it shares the pool through
 //! the same [`TaskSet`] mechanism.
 
 use crate::rsa::{verify_candidate, RsaOptions, Utk1Result};

@@ -443,7 +443,8 @@ mod tests {
 
     #[test]
     fn result_is_superset_of_sampled_topk_and_subset_of_rskyband() {
-        use crate::skyband::r_skyband;
+        use crate::rdominance::ScreenKernel;
+        use crate::skyband::{r_skyband, Source, TreeView};
         use crate::topk::top_k_brute;
         use rand::prelude::*;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
@@ -456,7 +457,18 @@ mod tests {
 
         let tree = RTree::bulk_load(&pts);
         let store = utk_geom::PointStore::from_rows(&pts);
-        let cs = r_skyband(&store, &tree, &region, k, true, &mut Stats::new());
+        let cs = r_skyband(
+            Source::Tree {
+                points: &store,
+                view: TreeView::packed(&tree),
+            },
+            &region,
+            k,
+            true,
+            ScreenKernel::default(),
+            &mut Stats::new(),
+        )
+        .unwrap();
         for id in &res.records {
             assert!(cs.ids.contains(id), "UTK1 must be inside the r-skyband");
         }

@@ -22,7 +22,7 @@
 //!
 //! The screen — "how many current members r-dominate this probe?" —
 //! is the hot loop of every UTK query, so it runs on a flat layout
-//! with zero per-test allocations ([`BandScreen`]):
+//! with zero per-test allocations (`BandScreen`):
 //!
 //! * the dataset and the admitted members live in row-major
 //!   [`PointStore`]s (one contiguous `f64` buffer, stride `d`);
@@ -46,18 +46,28 @@
 //!   ([`blocked_dominates_mask`]), selected by [`ScreenKernel`] and
 //!   byte-identical to the scalar oracle by construction.
 //!
-//! # Superset reuse
+//! # One entry point, two passes
 //!
-//! For regions `R ⊆ R'`, the r-skyband over `R` is a subset of the
-//! r-skyband over `R'` (r-dominance over the larger region implies it
-//! over the smaller, so records only gain dominators as the region
-//! shrinks). [`r_skyband_from_superset`] exploits that: it re-screens
-//! a cached candidate set for `R'` in the exact cold-BBS pop order of
-//! `R` — descending pivot score, ties to the smaller id — and
-//! reproduces the cold [`CandidateSet`] byte for byte (ids, points,
-//! graph) while testing only `|R'-skyband|` records instead of
-//! traversing the whole tree. The engine's filter cache probes
-//! containing regions on a miss and routes through it.
+//! [`r_skyband`] is the only way in; a [`Source`] says where the
+//! records come from, and two passes serve every source through the
+//! same screen:
+//!
+//! * the **tree pass** is the BBS above over a [`TreeView`]: a cold
+//!   run ([`Source::Tree`]), or a splice repair after a member delete;
+//! * the **list pass** replays a list of records in the tree pass's
+//!   record pop order — descending heap key, ties to the smaller id:
+//!   a re-screen of a cached candidate set of a containing region
+//!   ([`Source::Superset`]; for `R ⊆ R'` the r-skyband over `R` is a
+//!   subset of the one over `R'`, since records only gain dominators
+//!   as the region shrinks), or a splice repair after inserts only.
+//!
+//! A splice repair ([`Source::Repair`]) admits the members that pop
+//! before anything the mutation changed with their old dominator
+//! rows — the *free prefix* — and re-screens the rest. A cold run is
+//! the tree pass with an empty free prefix that ends at the first
+//! pop; a superset re-screen is the list pass with none. Every source
+//! yields the candidate set (ids, points, graph) of a cold run over
+//! the same records byte for byte; only the work counters differ.
 
 use crate::graph::DominanceGraph;
 use crate::rdominance::{
@@ -186,7 +196,13 @@ pub(crate) fn prefilter(
         top_k.sort_unstable();
         return Prefilter::Degenerate { w, top_k };
     }
-    let cands = r_skyband(&store, tree, region, k, pivot_order, stats);
+    let source = Source::Tree {
+        points: &store,
+        view: TreeView::packed(tree),
+    };
+    let kernel = ScreenKernel::default();
+    // utk-lint: allow(panic) -- invariant: only a repair source yields None
+    let cands = r_skyband(source, region, k, pivot_order, kernel, stats).expect("tree source");
     if cands.len() <= k {
         let mut ids = cands.ids.clone();
         ids.sort_unstable();
@@ -232,9 +248,10 @@ pub fn k_skyband<R: Rows + ?Sized>(
             true
         },
     );
-    // NOTE: node-level pruning is handled inside the closure via the
-    // record key only; BBS additionally prunes whole subtrees. We do
-    // that below with a specialised traversal when it pays off.
+    // No subtree is pruned: `search_descending` expands every node,
+    // so every record pops and is screened (the SK baseline's work
+    // counters depend on that). The membership test alone makes the
+    // result a k-skyband.
     band
 }
 
@@ -308,11 +325,6 @@ impl<'r> BandScreen<'r> {
             delta_scratch: Vec::new(),
             gather_scratch: Vec::new(),
         }
-    }
-
-    /// The region's pivot (the BBS heap key vector).
-    fn pivot(&self) -> &[f64] {
-        &self.pivot
     }
 
     /// Screens probe `p` (a record or a node MBB top corner) against
@@ -457,14 +469,23 @@ impl<'r> BandScreen<'r> {
         self.admit_last(id, p);
     }
 
-    /// Finalizes into the candidate set pieces.
-    fn finish(self, dim: usize) -> (Vec<u32>, PointStore, Vec<Vec<u32>>) {
+    /// The finish tail of every pass: the members as a candidate set
+    /// with their r-dominance graph. Records `candidates`.
+    fn finish(self, dim: usize, stats: &mut Stats) -> CandidateSet {
         let points = if self.member_ids.is_empty() {
             PointStoreBuilder::new(dim).finish()
         } else {
             self.member_points.finish()
         };
-        (self.member_ids, points, self.dominator_lists)
+        stats.candidates = self.member_ids.len();
+        let graph = crate::obs::span(crate::obs::Phase::Graph, || {
+            DominanceGraph::build(self.dominator_lists)
+        });
+        CandidateSet {
+            ids: self.member_ids,
+            points,
+            graph,
+        }
     }
 }
 
@@ -474,8 +495,8 @@ impl<'r> BandScreen<'r> {
 /// NaN keys last (a pathological record degrades the search order
 /// instead of aborting it), then nodes before records, then smaller
 /// id first — which makes the record pop order exactly "descending
-/// key, ties by ascending id", the order
-/// [`r_skyband_from_superset`] reproduces (see [`Entry`]'s `Ord`).
+/// key, ties by ascending id", the order [`pop_cmp`] states and the
+/// list pass reproduces.
 ///
 /// The node key is the unpadded `pref_score(mbb.hi, pivot)`, which is
 /// an upper bound on the records below only up to rounding: in `f64`
@@ -518,7 +539,7 @@ impl Ord for Entry {
         // first record at key κ pops, every node at key ≥ κ has
         // expanded and every key-κ record sits in the heap — records
         // at equal keys therefore pop in ascending id order, the
-        // exact order [`r_skyband_from_superset`] reproduces.
+        // exact order the list pass reproduces.
         .then(self.is_node.cmp(&other.is_node))
         .then(other.id.cmp(&self.id))
     }
@@ -726,10 +747,89 @@ pub fn top_k_tree(
     )
 }
 
-/// r-skyband via the adapted BBS (§4.1): candidates r-dominated by
+/// Where an [`r_skyband`] run takes its records from.
+#[derive(Debug, Clone, Copy)]
+pub enum Source<'a> {
+    /// A cold run: BBS over every record of `points`, read through
+    /// `view` — a packed tree, or a stale one with its overlay (see
+    /// [`TreeView`] for why both give the same candidate set).
+    Tree {
+        /// The flat dataset the view's record ids index.
+        points: &'a PointStore,
+        /// The index to traverse.
+        view: TreeView<'a>,
+    },
+    /// A re-screen of a cached candidate set of a *containing* region
+    /// (`R' ⊇ R`, same `k`, pivot order): the engine's cross-region
+    /// superset reuse. Only `|superset|` records are screened and no
+    /// tree is traversed.
+    ///
+    /// Soundness: shrinking the region only adds r-dominance pairs
+    /// (`a·w + c ≥ 0` over `R'` implies it over `R`; strictness
+    /// transfers because both regions are full-dimensional), so every
+    /// member of the r-skyband over `R` is a member over `R'` — no
+    /// record outside the superset can survive a cold run. One honest
+    /// caveat: that argument is exact-arithmetic, while classification
+    /// runs with the `EPS` tolerance — a pair whose delta range shrinks
+    /// *into* the `±EPS` band over `R` (score gaps of ~1e-9 on
+    /// normalized data) degrades from `Dominates` to `Equivalent`
+    /// there, which could in principle admit a record over `R` that
+    /// the `R'` filter already dropped. Such near-tie pairs sit on the
+    /// same tolerance knife-edge as every other predicate in this
+    /// workspace (cold runs included) and do not arise away from it.
+    Superset(&'a CandidateSet),
+    /// A splice repair of `old`, the r-skyband of the same region and
+    /// `k` before a mutation, against the mutated dataset `points`
+    /// (indexed by `view`). `old_ids_new` maps each member to its new
+    /// id ([`TOMBSTONE`] = deleted) and must preserve the members'
+    /// relative id order, as a dense renumbering of survivors does;
+    /// `live_inserts` are the new ids of inserts that escaped
+    /// [`rejected_by_members`] against `old`.
+    ///
+    /// Members that pop before anything the mutation changed are
+    /// admitted with their old dominator rows, unscreened; everything
+    /// from the first changed pop on is re-screened. Byte-identical to
+    /// a cold run over `points`:
+    /// * a cold run's member set is contained in `old ∪ live_inserts`
+    ///   — an old *non*-member had ≥ `k` earlier-popping member
+    ///   dominators, and by induction on pop order each of those is
+    ///   either admitted (counts against it) or was itself rejected by
+    ///   ≥ `k` admitted dominators, which r-dominate it transitively
+    ///   and pop even earlier; a classified-rejected insert is
+    ///   rejected by the same argument;
+    /// * a record that pops before the first change sees exactly the
+    ///   old admitted prefix ahead of it, so its old outcome stands.
+    ///
+    /// With no member deleted the repair is the list pass over the
+    /// members merged with `live_inserts` — no traversal at all; the
+    /// free prefix ends at the first insert. With a member deleted it
+    /// is the tree pass over `view` with a free phase down to the
+    /// splice key `k*`, the largest heap key over deleted members and
+    /// live inserts: pops strictly above `k*` expand nodes and admit
+    /// the expected members unscreened, skipping any other record (an
+    /// old non-member or a classified-rejected insert, whose ≥ `k`
+    /// member dominators all pop above `k*`, hence none was deleted).
+    /// Records from subtrees a cold run would have pruned still screen
+    /// to rejection, so only work counters differ.
+    Repair {
+        /// The cached candidate set, in its old id space.
+        old: &'a CandidateSet,
+        /// `old.ids` mapped to the new id space.
+        old_ids_new: &'a [u32],
+        /// New ids of the inserts `old` cannot reject.
+        live_inserts: &'a [u32],
+        /// The mutated dataset.
+        points: &'a PointStore,
+        /// The index over `points`.
+        view: TreeView<'a>,
+    },
+}
+
+/// r-skyband via the adapted BBS (§4.1): the records r-dominated by
 /// fewer than `k` others over `region`, along with all r-dominance
-/// arcs among them. `points` is the flat dataset the `tree` was built
-/// over.
+/// arcs among them. Every [`Source`] yields the same candidate set
+/// (ids, points and graph) for the same records; only the work
+/// counters differ.
 ///
 /// `pivot_order` selects the paper's pivot-score heap key. `false`
 /// falls back to the classic coordinate-sum key (ablation): that key
@@ -737,157 +837,249 @@ pub fn top_k_tree(
 /// r-dominate an earlier one), so some dominators go uncounted and the
 /// filter returns a superset of the r-skyband — still a safe input to
 /// refinement, just looser, which is exactly the paper's argument for
-/// the pivot order.
+/// the pivot order. [`Source::Superset`] is exact under the pivot key
+/// only.
+///
+/// `kernel` picks how the screen sweeps members ([`ScreenKernel`]); it
+/// never changes the candidate set, only which work counters tick.
+///
+/// Returns `None` only for [`Source::Repair`], when a consistency
+/// check fails: the cached sequence is out of pop order, a deleted
+/// member sits above its own splice key, or the traversal does not
+/// deliver the expected prefix exactly. The caller then drops the
+/// cached set.
 pub fn r_skyband(
-    points: &PointStore,
-    tree: &RTree,
-    region: &Region,
-    k: usize,
-    pivot_order: bool,
-    stats: &mut Stats,
-) -> CandidateSet {
-    r_skyband_with_kernel(
-        points,
-        tree,
-        region,
-        k,
-        pivot_order,
-        ScreenKernel::default(),
-        stats,
-    )
-}
-
-/// [`r_skyband`] with an explicit [`ScreenKernel`] choice. The kernel
-/// never changes the candidate set — only how the screen sweeps
-/// members and which work counters tick.
-pub fn r_skyband_with_kernel(
-    points: &PointStore,
-    tree: &RTree,
+    source: Source<'_>,
     region: &Region,
     k: usize,
     pivot_order: bool,
     kernel: ScreenKernel,
     stats: &mut Stats,
-) -> CandidateSet {
-    r_skyband_view_with_kernel(
-        points,
-        &TreeView::packed(tree),
-        region,
-        k,
-        pivot_order,
-        kernel,
-        stats,
-    )
-}
-
-/// [`r_skyband`] reading the tree through a [`TreeView`] — the
-/// mutable-engine entry point. With a packed view this is exactly the
-/// classic traversal; with an overlay it produces a byte-identical
-/// candidate set (see the [`TreeView`] docs for the argument) while
-/// only the work counters differ.
-pub fn r_skyband_view(
-    points: &PointStore,
-    view: &TreeView<'_>,
-    region: &Region,
-    k: usize,
-    pivot_order: bool,
-    stats: &mut Stats,
-) -> CandidateSet {
-    r_skyband_view_with_kernel(
-        points,
-        view,
-        region,
-        k,
-        pivot_order,
-        ScreenKernel::default(),
-        stats,
-    )
-}
-
-/// [`r_skyband_view`] with an explicit [`ScreenKernel`] choice.
-pub fn r_skyband_view_with_kernel(
-    points: &PointStore,
-    view: &TreeView<'_>,
-    region: &Region,
-    k: usize,
-    pivot_order: bool,
-    kernel: ScreenKernel,
-    stats: &mut Stats,
-) -> CandidateSet {
-    let tree = view.tree;
+) -> Option<CandidateSet> {
     let mut screen = BandScreen::new(region, k, kernel);
-    let key = |screen: &BandScreen, p: &[f64]| -> f64 {
-        if pivot_order {
-            pref_score(p, screen.pivot())
-        } else {
-            p.iter().sum()
+    let pivot = screen.pivot.clone();
+    let key = |p: &[f64]| heap_key(p, &pivot, pivot_order);
+    let dim = match source {
+        Source::Tree { points, view } => {
+            tree_pass(
+                &mut screen,
+                points,
+                &view,
+                &key,
+                f64::INFINITY,
+                FreePrefix::NONE,
+                stats,
+            )?;
+            points.dim()
+        }
+        Source::Superset(sup) => {
+            let items = (0..sup.len())
+                .map(|i| (key(&sup.points[i]), sup.ids[i], &sup.points[i]))
+                .collect();
+            list_pass(&mut screen, items, FreePrefix::NONE, stats);
+            sup.points.dim()
+        }
+        Source::Repair {
+            old,
+            old_ids_new,
+            live_inserts,
+            points,
+            view,
+        } => {
+            if old_ids_new.len() != old.len() {
+                return None;
+            }
+            let mkeys: Vec<f64> = (0..old.len()).map(|i| key(&old.points[i])).collect();
+            let list = !old_ids_new.contains(&TOMBSTONE);
+            let ids = if list { old_ids_new } else { &old.ids };
+            if (1..old.len()).any(|w| pop_cmp(mkeys[w - 1], ids[w - 1], mkeys[w], ids[w]).is_ge()) {
+                return None; // cached sequence is not in pop order
+            }
+            let free = FreePrefix {
+                ids: old_ids_new,
+                rows: Some(&old.graph),
+            };
+            let inserts = live_inserts
+                .iter()
+                .map(|&id| (key(&points[id as usize]), id, &points[id as usize]));
+            if list {
+                let members = (0..old.len()).map(|i| (mkeys[i], old_ids_new[i], &old.points[i]));
+                list_pass(&mut screen, members.chain(inserts).collect(), free, stats);
+            } else {
+                let deleted = old_ids_new
+                    .iter()
+                    .zip(&mkeys)
+                    .filter(|(&id, _)| id == TOMBSTONE);
+                let kstar = deleted
+                    .map(|(_, &kk)| kk)
+                    .chain(inserts.map(|(kk, _, _)| kk))
+                    .fold(f64::NEG_INFINITY, f64::max);
+                // Descending NaN-last keys (checked above) make this
+                // predicate monotone: the partition point is the
+                // free-prefix length.
+                let prefix = mkeys.partition_point(|&kk| kk > kstar);
+                if old_ids_new[..prefix].contains(&TOMBSTONE) {
+                    return None; // a deleted member above its own splice key
+                }
+                let free = FreePrefix {
+                    ids: &old_ids_new[..prefix],
+                    ..free
+                };
+                tree_pass(&mut screen, points, &view, &key, kstar, free, stats)?;
+            }
+            points.dim()
         }
     };
+    Some(screen.finish(dim, stats))
+}
 
-    // A single best-first pass; both records and node top corners are
-    // screened against the current skyband by r-dominance. Records
-    // the tree does not know about yet enter the heap directly.
+/// Members a previous run admitted, in pop order, whose screen
+/// outcome a splice reuses: `ids[i]` is admitted with row `i` of
+/// `rows` as its dominator list instead of a screen test.
+#[derive(Clone, Copy)]
+struct FreePrefix<'a> {
+    ids: &'a [u32],
+    rows: Option<&'a DominanceGraph>,
+}
+
+impl FreePrefix<'_> {
+    /// A cold run's prefix: nothing is known.
+    const NONE: Self = FreePrefix {
+        ids: &[],
+        rows: None,
+    };
+
+    /// Free-admits member `i` at point `p`.
+    fn admit(&self, screen: &mut BandScreen<'_>, i: usize, p: &[f64]) {
+        let row = self.rows.map_or(&[][..], |g| g.ancestors(i as u32));
+        screen.admit_free(self.ids[i], p, row);
+    }
+}
+
+/// The tree pass: one best-first BBS over `view`, screening records
+/// and node top corners against the current members. Records the tree
+/// does not know about yet (`view.extra`) enter the heap directly.
+///
+/// Pops strictly above `kstar` are the free phase: nodes expand
+/// unscreened, `free`'s members are admitted as they arrive, and other
+/// records are skipped. The first pop at or below `kstar` ends it — at
+/// `kstar = +∞` that is the first pop, a cold run. `None` when the
+/// free phase does not deliver `free.ids` exactly.
+fn tree_pass(
+    screen: &mut BandScreen<'_>,
+    points: &PointStore,
+    view: &TreeView<'_>,
+    key: &impl Fn(&[f64]) -> f64,
+    kstar: f64,
+    free: FreePrefix<'_>,
+    stats: &mut Stats,
+) -> Option<()> {
+    let tree = view.tree;
     let mut heap = std::collections::BinaryHeap::new();
     let root = tree.root();
     heap.push(Entry {
-        key: key(&screen, &tree.node(root).mbb.hi),
+        key: key(&tree.node(root).mbb.hi),
         is_node: true,
         id: root,
     });
     for &id in view.extra {
         heap.push(Entry {
-            key: key(&screen, &points[id as usize]),
+            key: key(&points[id as usize]),
             is_node: false,
             id: id as usize,
         });
     }
-    while let Some(Entry { is_node, id, .. }) = heap.pop() {
+    let mut admitted = 0; // free-prefix members admitted so far
+    let mut freeing = true;
+    while let Some(Entry {
+        key: kk,
+        is_node,
+        id,
+    }) = heap.pop()
+    {
         stats.bbs_pops += 1;
+        if freeing {
+            if kk > kstar {
+                if is_node {
+                    expand(&mut heap, view, id, points, key);
+                } else if free.ids.get(admitted) == Some(&(id as u32)) {
+                    free.admit(screen, admitted, &points[id]);
+                    admitted += 1;
+                }
+                continue;
+            }
+            if admitted != free.ids.len() {
+                return None;
+            }
+            freeing = false;
+        }
         if is_node {
-            let node = tree.node(id);
-            if !screen.screen(&node.mbb.hi, stats) {
-                continue; // subtree fully r-dominated ≥ k times
-            }
-            match &node.kind {
-                utk_rtree::NodeKind::Inner { children } => {
-                    for &c in children {
-                        heap.push(Entry {
-                            key: key(&screen, &tree.node(c).mbb.hi),
-                            is_node: true,
-                            id: c,
-                        });
-                    }
-                }
-                utk_rtree::NodeKind::Leaf { items } => {
-                    for &rid in items {
-                        // Tombstoned records never reach the heap;
-                        // survivors carry their *current* id, so the
-                        // ascending-id tie-break matches a fresh tree.
-                        let Some(cur) = view.current_id(rid) else {
-                            continue;
-                        };
-                        heap.push(Entry {
-                            key: key(&screen, &points[cur as usize]),
-                            is_node: false,
-                            id: cur as usize,
-                        });
-                    }
-                }
-            }
+            if screen.screen(&tree.node(id).mbb.hi, stats) {
+                expand(&mut heap, view, id, points, key);
+            } // else: subtree fully r-dominated ≥ k times
         } else if screen.screen(&points[id], stats) {
             screen.admit_last(id as u32, &points[id]);
         }
     }
+    (admitted == free.ids.len()).then_some(())
+}
 
-    let (ids, cpoints, dominator_lists) = screen.finish(points.dim());
-    stats.candidates = ids.len();
-    let graph = crate::obs::span(crate::obs::Phase::Graph, || {
-        DominanceGraph::build(dominator_lists)
-    });
-    CandidateSet {
-        ids,
-        points: cpoints,
-        graph,
+/// Pushes the children of node `id`: child nodes keyed by their MBB
+/// top corner, leaf records by their point. Tombstoned records never
+/// reach the heap; survivors carry their *current* id, so the
+/// ascending-id tie-break matches a fresh tree.
+#[inline]
+fn expand(
+    heap: &mut std::collections::BinaryHeap<Entry>,
+    view: &TreeView<'_>,
+    id: usize,
+    points: &PointStore,
+    key: &impl Fn(&[f64]) -> f64,
+) {
+    match &view.tree.node(id).kind {
+        utk_rtree::NodeKind::Inner { children } => {
+            for &c in children {
+                heap.push(Entry {
+                    key: key(&view.tree.node(c).mbb.hi),
+                    is_node: true,
+                    id: c,
+                });
+            }
+        }
+        utk_rtree::NodeKind::Leaf { items } => {
+            for &rid in items {
+                if let Some(cur) = view.current_id(rid) {
+                    heap.push(Entry {
+                        key: key(&points[cur as usize]),
+                        is_node: false,
+                        id: cur as usize,
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// The list pass: screens `(key, id, point)` records in the order the
+/// tree pass would pop them ([`pop_cmp`]; ids must be distinct, which
+/// makes it total). The longest sorted prefix that matches `free.ids`
+/// is admitted unscreened.
+fn list_pass(
+    screen: &mut BandScreen<'_>,
+    mut items: Vec<(f64, u32, &[f64])>,
+    free: FreePrefix<'_>,
+    stats: &mut Stats,
+) {
+    // utk-lint: allow(float-cmp) -- pop_cmp is the deterministic total pop order (total_cmp inside)
+    items.sort_by(|a, b| pop_cmp(a.0, a.1, b.0, b.1));
+    let mut freeing = true;
+    for (i, &(_, id, p)) in items.iter().enumerate() {
+        freeing &= free.ids.get(i) == Some(&id);
+        if freeing {
+            free.admit(screen, i, p);
+        } else if screen.screen(p, stats) {
+            screen.admit_last(id, p);
+        }
     }
 }
 
@@ -904,9 +1096,9 @@ pub fn r_skyband_view_with_kernel(
 /// pops (its pre-`p` dominators are all members, all already
 /// admitted); if it fails, `p` joins the r-skyband (under the pivot
 /// key; under the sum-key ablation it at least *may*), so the entry
-/// must be dropped either way. The key comparison mirrors the heap
-/// ([`Entry`]) bit for bit — same computed scores, same `total_cmp` —
-/// so there is no tolerance gap between this test and a real run.
+/// must be dropped or repaired either way. The key and the pop order
+/// are the heap's own, so there is no tolerance gap between this test
+/// and a real run.
 pub fn rejected_by_members(
     cands: &CandidateSet,
     p: &[f64],
@@ -916,14 +1108,7 @@ pub fn rejected_by_members(
 ) -> bool {
     // utk-lint: allow(panic) -- invariant: the engine rejects empty regions before filtering
     let pivot = region.pivot().expect("query region must be non-empty");
-    let key = |q: &[f64]| -> f64 {
-        if pivot_order {
-            pref_score(q, &pivot)
-        } else {
-            q.iter().sum()
-        }
-    };
-    let kp = key(p);
+    let kp = heap_key(p, &pivot, pivot_order);
     if kp.is_nan() {
         // A NaN key pops last and is never r-dominated under the
         // screen's classification: a fresh run would admit it.
@@ -932,8 +1117,8 @@ pub fn rejected_by_members(
     let mut count = 0;
     for i in 0..cands.len() {
         let m = &cands.points[i];
-        let km = key(m);
-        if km.is_nan() || km.total_cmp(&kp) == std::cmp::Ordering::Less {
+        // `p` is appended last, so its id exceeds every member's.
+        if pop_cmp(heap_key(m, &pivot, pivot_order), cands.ids[i], kp, u32::MAX).is_gt() {
             continue; // pops after p: cannot have been admitted yet
         }
         if crate::rdominance::r_dominance(m, p, region) == RDominance::Dominates {
@@ -946,83 +1131,9 @@ pub fn rejected_by_members(
     false
 }
 
-/// Rebuilds the exact r-skyband of `region` by re-screening a cached
-/// candidate set of a *containing* region (`R' ⊇ R`, same `k`, pivot
-/// order) — the engine's cross-region superset reuse.
-///
-/// The output is byte-identical to a cold [`r_skyband`] run over the
-/// full dataset: candidates are processed in the cold pop order
-/// (descending pivot score of `region`, ties to the smaller dataset
-/// id) through the same [`BandScreen`], so ids, points, and graph
-/// arcs all coincide while only `|superset|` records are screened and
-/// the R-tree is never traversed.
-///
-/// Soundness: shrinking the region only adds r-dominance pairs
-/// (`a·w + c ≥ 0` over `R'` implies it over `R`; strictness transfers
-/// because both regions are full-dimensional), so every member of the
-/// r-skyband over `R` is a member over `R'` — no candidate outside
-/// `superset` can survive a cold run. One honest caveat: that
-/// argument is exact-arithmetic, while classification runs with the
-/// `EPS` tolerance — a pair whose delta range shrinks *into* the
-/// `±EPS` band over `R` (score gaps of ~1e-9 on normalized data)
-/// degrades from `Dominates` to `Equivalent` there, which could in
-/// principle admit a record over `R` that the `R'` filter already
-/// dropped. Such near-tie pairs sit on the same tolerance knife-edge
-/// as every other predicate in this workspace (cold runs included)
-/// and do not arise away from it.
-pub fn r_skyband_from_superset(
-    superset: &CandidateSet,
-    region: &Region,
-    k: usize,
-    stats: &mut Stats,
-) -> CandidateSet {
-    r_skyband_from_superset_with_kernel(superset, region, k, ScreenKernel::default(), stats)
-}
-
-/// [`r_skyband_from_superset`] with an explicit [`ScreenKernel`]
-/// choice.
-pub fn r_skyband_from_superset_with_kernel(
-    superset: &CandidateSet,
-    region: &Region,
-    k: usize,
-    kernel: ScreenKernel,
-    stats: &mut Stats,
-) -> CandidateSet {
-    let mut screen = BandScreen::new(region, k, kernel);
-    let scores: Vec<f64> = (0..superset.len())
-        .map(|i| pref_score(&superset.points[i], screen.pivot()))
-        .collect();
-    let mut order: Vec<u32> = (0..superset.len() as u32).collect();
-    order.sort_by(|&a, &b| {
-        let (sa, sb) = (scores[a as usize], scores[b as usize]);
-        match (sa.is_nan(), sb.is_nan()) {
-            (true, true) => std::cmp::Ordering::Equal,
-            (true, false) => std::cmp::Ordering::Greater, // NaN last
-            (false, true) => std::cmp::Ordering::Less,
-            (false, false) => sb.total_cmp(&sa),
-        }
-        .then_with(|| superset.ids[a as usize].cmp(&superset.ids[b as usize]))
-    });
-    for &ci in &order {
-        let p = &superset.points[ci as usize];
-        if screen.screen(p, stats) {
-            screen.admit_last(superset.ids[ci as usize], p);
-        }
-    }
-    let (ids, cpoints, dominator_lists) = screen.finish(superset.points.dim());
-    stats.candidates = ids.len();
-    let graph = crate::obs::span(crate::obs::Phase::Graph, || {
-        DominanceGraph::build(dominator_lists)
-    });
-    CandidateSet {
-        ids,
-        points: cpoints,
-        graph,
-    }
-}
-
 /// The BBS heap key of a record: its score at `pivot` under the
 /// paper's pivot order, or the coordinate sum under the ablation key.
+/// The tree pass keys node top corners the same way.
 fn heap_key(p: &[f64], pivot: &[f64], pivot_order: bool) -> f64 {
     if pivot_order {
         pref_score(p, pivot)
@@ -1042,311 +1153,6 @@ fn pop_cmp(ka: f64, ia: u32, kb: f64, ib: u32) -> std::cmp::Ordering {
         (false, false) => kb.total_cmp(&ka),
     }
     .then(ia.cmp(&ib))
-}
-
-/// Splice-repairs a cached r-skyband after an **insert-only**
-/// mutation (no member deleted; `old.ids` already renumbered to the
-/// new id space): merges the surviving member sequence with the
-/// inserts that escaped [`rejected_by_members`], in fresh-BBS pop
-/// order, free-admitting every member that pops before the first such
-/// insert (its screen outcome cannot have changed — the admitted set
-/// ahead of it is exactly the old one) and re-screening everything
-/// from that splice point on. No R-tree traversal at all.
-///
-/// Byte-identical to a fresh [`r_skyband`] over the new dataset:
-/// * a fresh run's member set is contained in `old ∪ live_inserts` —
-///   an old *non*-member had ≥ `k` earlier-popping member dominators,
-///   and by induction on pop order each of those is either admitted
-///   (counts against it) or was itself rejected by ≥ `k` admitted
-///   dominators, which r-dominate it transitively and pop even
-///   earlier; a classified-rejected insert is rejected by the same
-///   argument (that is exactly what the predicate established);
-/// * processing the merged list through one [`BandScreen`] in pop
-///   order therefore replays the fresh run's admission decisions on
-///   the only records that can be admitted, with identical member
-///   state at every step — identical ids, points, vertex scores, and
-///   dominator lists.
-///
-/// Returns `None` (caller falls back to drop-and-recompute) when the
-/// cached sequence fails its pop-order sanity check.
-pub fn r_skyband_repair_inserts(
-    old: &CandidateSet,
-    live_inserts: &[u32],
-    points: &PointStore,
-    region: &Region,
-    k: usize,
-    pivot_order: bool,
-    stats: &mut Stats,
-) -> Option<CandidateSet> {
-    r_skyband_repair_inserts_with_kernel(
-        old,
-        live_inserts,
-        points,
-        region,
-        k,
-        pivot_order,
-        ScreenKernel::default(),
-        stats,
-    )
-}
-
-/// [`r_skyband_repair_inserts`] with an explicit [`ScreenKernel`]
-/// choice.
-#[allow(clippy::too_many_arguments)]
-pub fn r_skyband_repair_inserts_with_kernel(
-    old: &CandidateSet,
-    live_inserts: &[u32],
-    points: &PointStore,
-    region: &Region,
-    k: usize,
-    pivot_order: bool,
-    kernel: ScreenKernel,
-    stats: &mut Stats,
-) -> Option<CandidateSet> {
-    let mut screen = BandScreen::new(region, k, kernel);
-    let pivot = screen.pivot().to_vec();
-    let mkeys: Vec<f64> = (0..old.len())
-        .map(|i| heap_key(&old.points[i], &pivot, pivot_order))
-        .collect();
-    for w in 1..old.len() {
-        if pop_cmp(mkeys[w - 1], old.ids[w - 1], mkeys[w], old.ids[w]) != std::cmp::Ordering::Less {
-            return None; // cached sequence is not in pop order
-        }
-    }
-    let mut ins: Vec<(f64, u32)> = live_inserts
-        .iter()
-        .map(|&id| (heap_key(&points[id as usize], &pivot, pivot_order), id))
-        .collect();
-    // utk-lint: allow(float-cmp) -- pop_cmp is the deterministic total pop order (total_cmp inside)
-    ins.sort_by(|a, b| pop_cmp(a.0, a.1, b.0, b.1));
-
-    let (mut mi, mut li) = (0usize, 0usize);
-    let mut splicing = false;
-    while mi < old.len() || li < ins.len() {
-        let take_member = mi < old.len()
-            && (li >= ins.len()
-                || pop_cmp(mkeys[mi], old.ids[mi], ins[li].0, ins[li].1)
-                    == std::cmp::Ordering::Less);
-        if take_member {
-            let id = old.ids[mi];
-            let p = &points[id as usize];
-            if !splicing {
-                screen.admit_free(id, p, old.graph.ancestors(mi as u32));
-            } else if screen.screen(p, stats) {
-                screen.admit_last(id, p);
-            }
-            mi += 1;
-        } else {
-            splicing = true;
-            let id = ins[li].1;
-            let p = &points[id as usize];
-            if screen.screen(p, stats) {
-                screen.admit_last(id, p);
-            }
-            li += 1;
-        }
-    }
-    let (ids, cpoints, dominator_lists) = screen.finish(points.dim());
-    stats.candidates = ids.len();
-    let graph = crate::obs::span(crate::obs::Phase::Graph, || {
-        DominanceGraph::build(dominator_lists)
-    });
-    Some(CandidateSet {
-        ids,
-        points: cpoints,
-        graph,
-    })
-}
-
-/// Splice-repairs a cached r-skyband after a mutation that **deleted
-/// a member** (with any mix of other deletes and inserts): one BBS
-/// pass over the *new* dataset's [`TreeView`] that free-admits the
-/// member prefix no change can reach and re-screens only the suffix.
-///
-/// `old` carries the previous epoch's ids; `old_ids_new` maps each
-/// member to its renumbered id ([`TOMBSTONE`] = deleted);
-/// `live_inserts` are the new ids of inserts that escaped
-/// [`rejected_by_members`] against the old member set.
-///
-/// The splice point is `k* =` the largest heap key over deleted
-/// members and live inserts — every record popping strictly above
-/// `k*` sees an unchanged world: no deleted member and no admissible
-/// insert pops before it, so (by the same induction as
-/// [`r_skyband_repair_inserts`]) the admitted prefix is exactly the
-/// old member prefix and old non-members stay rejected. The free
-/// phase therefore expands nodes without screening and admits exactly
-/// the expected member sequence with its old dominator rows; the
-/// first pop at or below `k*` switches to the normal screen/admit
-/// protocol, which replays the fresh run from that point (records
-/// from subtrees a fresh run would have pruned still screen to
-/// rejection — their ≥ `k` dominators are admitted here too — so only
-/// work counters differ, never the candidate set).
-///
-/// Classified-rejected inserts are skipped in the free phase (sound:
-/// their ≥ `k` member dominators all pop above `k*`, hence none was
-/// deleted) and simply pop into the re-screened suffix otherwise.
-///
-/// Returns `None` (caller falls back to drop-and-recompute) when any
-/// consistency check fails: cached sequence out of pop order, a
-/// deleted member above the splice point, or the traversal not
-/// meeting the expected prefix exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn r_skyband_repair(
-    old: &CandidateSet,
-    old_ids_new: &[u32],
-    live_inserts: &[u32],
-    points: &PointStore,
-    view: &TreeView<'_>,
-    region: &Region,
-    k: usize,
-    pivot_order: bool,
-    stats: &mut Stats,
-) -> Option<CandidateSet> {
-    r_skyband_repair_with_kernel(
-        old,
-        old_ids_new,
-        live_inserts,
-        points,
-        view,
-        region,
-        k,
-        pivot_order,
-        ScreenKernel::default(),
-        stats,
-    )
-}
-
-/// [`r_skyband_repair`] with an explicit [`ScreenKernel`] choice.
-#[allow(clippy::too_many_arguments)]
-pub fn r_skyband_repair_with_kernel(
-    old: &CandidateSet,
-    old_ids_new: &[u32],
-    live_inserts: &[u32],
-    points: &PointStore,
-    view: &TreeView<'_>,
-    region: &Region,
-    k: usize,
-    pivot_order: bool,
-    kernel: ScreenKernel,
-    stats: &mut Stats,
-) -> Option<CandidateSet> {
-    if old_ids_new.len() != old.len() {
-        return None;
-    }
-    let mut screen = BandScreen::new(region, k, kernel);
-    let pivot = screen.pivot().to_vec();
-    let mkeys: Vec<f64> = (0..old.len())
-        .map(|i| heap_key(&old.points[i], &pivot, pivot_order))
-        .collect();
-    for w in 1..old.len() {
-        if pop_cmp(mkeys[w - 1], old.ids[w - 1], mkeys[w], old.ids[w]) != std::cmp::Ordering::Less {
-            return None; // cached sequence is not in pop order
-        }
-    }
-    let mut kstar = f64::NEG_INFINITY;
-    for (i, &nid) in old_ids_new.iter().enumerate() {
-        if nid == TOMBSTONE && !mkeys[i].is_nan() && mkeys[i] > kstar {
-            kstar = mkeys[i];
-        }
-    }
-    for &id in live_inserts {
-        let kk = heap_key(&points[id as usize], &pivot, pivot_order);
-        if !kk.is_nan() && kk > kstar {
-            kstar = kk;
-        }
-    }
-    // Descending NaN-last keys (verified above) make this predicate
-    // monotone, so the partition point is the free-prefix length.
-    let prefix_count = mkeys.partition_point(|kk| !kk.is_nan() && *kk > kstar);
-    if old_ids_new[..prefix_count].contains(&TOMBSTONE) {
-        return None; // a deleted member above its own splice point
-    }
-
-    let tree = view.tree;
-    let key = |p: &[f64]| heap_key(p, &pivot, pivot_order);
-    let mut heap = std::collections::BinaryHeap::new();
-    let root = tree.root();
-    heap.push(Entry {
-        key: key(&tree.node(root).mbb.hi),
-        is_node: true,
-        id: root,
-    });
-    for &id in view.extra {
-        heap.push(Entry {
-            key: key(&points[id as usize]),
-            is_node: false,
-            id: id as usize,
-        });
-    }
-    let mut ei = 0usize; // next expected free-prefix member
-    let mut free = true;
-    while let Some(Entry {
-        key: kk,
-        is_node,
-        id,
-    }) = heap.pop()
-    {
-        if free && (kk <= kstar || kk.is_nan()) {
-            // First pop at/below the splice key: the free prefix must
-            // be fully accounted for before the re-screen takes over.
-            if ei != prefix_count {
-                return None;
-            }
-            free = false;
-        }
-        if is_node {
-            let node = tree.node(id);
-            if !free && !screen.screen(&node.mbb.hi, stats) {
-                continue; // subtree fully r-dominated ≥ k times
-            }
-            match &node.kind {
-                utk_rtree::NodeKind::Inner { children } => {
-                    for &c in children {
-                        heap.push(Entry {
-                            key: key(&tree.node(c).mbb.hi),
-                            is_node: true,
-                            id: c,
-                        });
-                    }
-                }
-                utk_rtree::NodeKind::Leaf { items } => {
-                    for &rid in items {
-                        let Some(cur) = view.current_id(rid) else {
-                            continue;
-                        };
-                        heap.push(Entry {
-                            key: key(&points[cur as usize]),
-                            is_node: false,
-                            id: cur as usize,
-                        });
-                    }
-                }
-            }
-        } else if free {
-            if ei < prefix_count && id as u32 == old_ids_new[ei] {
-                screen.admit_free(id as u32, &points[id], old.graph.ancestors(ei as u32));
-                ei += 1;
-            }
-            // Any other record popping above k* is an old non-member
-            // or a classified-rejected insert: provably rejected, so
-            // it is skipped without a screen test.
-        } else if screen.screen(&points[id], stats) {
-            screen.admit_last(id as u32, &points[id]);
-        }
-    }
-    if free && ei != prefix_count {
-        return None; // the traversal never delivered the full prefix
-    }
-    let (ids, cpoints, dominator_lists) = screen.finish(points.dim());
-    stats.candidates = ids.len();
-    let graph = crate::obs::span(crate::obs::Phase::Graph, || {
-        DominanceGraph::build(dominator_lists)
-    });
-    Some(CandidateSet {
-        ids,
-        points: cpoints,
-        graph,
-    })
 }
 
 #[cfg(test)]
@@ -1389,6 +1195,30 @@ mod tests {
         PointStore::from_rows(points)
     }
 
+    /// A cold run over a packed tree with the default kernel.
+    fn tree_run(
+        points: &PointStore,
+        tree: &RTree,
+        region: &Region,
+        k: usize,
+        pivot_order: bool,
+        stats: &mut Stats,
+    ) -> CandidateSet {
+        let source = Source::Tree {
+            points,
+            view: TreeView::packed(tree),
+        };
+        r_skyband(
+            source,
+            region,
+            k,
+            pivot_order,
+            ScreenKernel::default(),
+            stats,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn k_skyband_matches_brute_force() {
         for k in [1, 2, 4] {
@@ -1406,7 +1236,7 @@ mod tests {
         for k in [1, 3] {
             let pts = random_points(250, 3, 31 + k as u64);
             let tree = RTree::bulk_load(&pts);
-            let cs = r_skyband(&flat(&pts), &tree, &region, k, true, &mut Stats::new());
+            let cs = tree_run(&flat(&pts), &tree, &region, k, true, &mut Stats::new());
             let mut got = cs.ids.clone();
             got.sort_unstable();
             assert_eq!(got, brute_r_skyband(&pts, &region, k), "k = {k}");
@@ -1421,7 +1251,7 @@ mod tests {
         let mut stats = Stats::new();
         let sky: std::collections::HashSet<u32> =
             k_skyband(&pts, &tree, 3, &mut stats).into_iter().collect();
-        let rsky = r_skyband(&flat(&pts), &tree, &region, 3, true, &mut stats);
+        let rsky = tree_run(&flat(&pts), &tree, &region, 3, true, &mut stats);
         assert!(rsky.ids.iter().all(|id| sky.contains(id)));
         assert!(rsky.len() <= sky.len());
     }
@@ -1431,7 +1261,7 @@ mod tests {
         let region = Region::hyperrect(vec![0.15, 0.15], vec![0.35, 0.3]);
         let pts = random_points(200, 3, 51);
         let tree = RTree::bulk_load(&pts);
-        let cs = r_skyband(&flat(&pts), &tree, &region, 4, true, &mut Stats::new());
+        let cs = tree_run(&flat(&pts), &tree, &region, 4, true, &mut Stats::new());
         for v in 0..cs.len() as u32 {
             for &a in cs.graph.ancestors(v) {
                 assert_eq!(
@@ -1449,7 +1279,7 @@ mod tests {
         let region = Region::hyperrect(vec![0.1, 0.1], vec![0.2, 0.3]);
         let pts = random_points(150, 3, 61);
         let tree = RTree::bulk_load(&pts);
-        let cs = r_skyband(&flat(&pts), &tree, &region, 3, true, &mut Stats::new());
+        let cs = tree_run(&flat(&pts), &tree, &region, 3, true, &mut Stats::new());
         for a in 0..cs.len() as u32 {
             for b in 0..cs.len() as u32 {
                 if a != b
@@ -1470,8 +1300,8 @@ mod tests {
         let region = Region::hyperrect(vec![0.1, 0.25], vec![0.2, 0.35]);
         let pts = random_points(300, 3, 71);
         let tree = RTree::bulk_load(&pts);
-        let a = r_skyband(&flat(&pts), &tree, &region, 5, true, &mut Stats::new());
-        let b = r_skyband(&flat(&pts), &tree, &region, 5, false, &mut Stats::new());
+        let a = tree_run(&flat(&pts), &tree, &region, 5, true, &mut Stats::new());
+        let b = tree_run(&flat(&pts), &tree, &region, 5, false, &mut Stats::new());
         let mut ia = a.ids.clone();
         ia.sort_unstable();
         assert_eq!(ia, brute_r_skyband(&pts, &region, 5));
@@ -1497,13 +1327,13 @@ mod tests {
         let pts = random_points(400, 3, 91);
         let tree = RTree::bulk_load(&pts);
         let mut ablation_stats = Stats::new();
-        r_skyband(&flat(&pts), &tree, &region, 6, false, &mut ablation_stats);
+        tree_run(&flat(&pts), &tree, &region, 6, false, &mut ablation_stats);
         assert!(
             ablation_stats.screen_prefix_skips > 0,
             "sum-key ordering must trigger prefix skips"
         );
         let mut pivot_stats = Stats::new();
-        r_skyband(&flat(&pts), &tree, &region, 6, true, &mut pivot_stats);
+        tree_run(&flat(&pts), &tree, &region, 6, true, &mut pivot_stats);
         assert_eq!(
             pivot_stats.screen_prefix_skips, 0,
             "pivot order already delivers the prefix invariant"
@@ -1515,7 +1345,7 @@ mod tests {
         let region = Region::hyperrect(vec![0.3, 0.1], vec![0.4, 0.2]);
         let pts = random_points(200, 3, 81);
         let tree = RTree::bulk_load(&pts);
-        let cs = r_skyband(&flat(&pts), &tree, &region, 1, true, &mut Stats::new());
+        let cs = tree_run(&flat(&pts), &tree, &region, 1, true, &mut Stats::new());
         for v in 0..cs.len() as u32 {
             assert!(cs.graph.ancestors(v).is_empty());
         }
@@ -1533,7 +1363,7 @@ mod tests {
         let tree = RTree::bulk_load(&pts);
         let poisoned = 17;
         pts[poisoned][1] = f64::NAN;
-        let cs = r_skyband(&flat(&pts), &tree, &region, 3, true, &mut Stats::new());
+        let cs = tree_run(&flat(&pts), &tree, &region, 3, true, &mut Stats::new());
         // Finite-only reference (drop the poisoned record).
         let finite: Vec<Vec<f64>> = pts
             .iter()
@@ -1563,11 +1393,19 @@ mod tests {
             let pts = random_points(350, 3, 200 + k as u64);
             let tree = RTree::bulk_load(&pts);
             let store = flat(&pts);
-            let sup = r_skyband(&store, &tree, &outer, k, true, &mut Stats::new());
+            let sup = tree_run(&store, &tree, &outer, k, true, &mut Stats::new());
             let mut cold_stats = Stats::new();
-            let cold = r_skyband(&store, &tree, &inner, k, true, &mut cold_stats);
+            let cold = tree_run(&store, &tree, &inner, k, true, &mut cold_stats);
             let mut warm_stats = Stats::new();
-            let warm = r_skyband_from_superset(&sup, &inner, k, &mut warm_stats);
+            let warm = r_skyband(
+                Source::Superset(&sup),
+                &inner,
+                k,
+                true,
+                ScreenKernel::default(),
+                &mut warm_stats,
+            )
+            .unwrap();
             assert_eq!(warm, cold, "k = {k}");
             assert_eq!(warm_stats.candidates, cold_stats.candidates);
             assert!(
@@ -1595,9 +1433,17 @@ mod tests {
         let tree = RTree::bulk_load(&pts);
         let store = flat(&pts);
         for k in [2, 8, 65] {
-            let sup = r_skyband(&store, &tree, &outer, k, true, &mut Stats::new());
-            let cold = r_skyband(&store, &tree, &inner, k, true, &mut Stats::new());
-            let warm = r_skyband_from_superset(&sup, &inner, k, &mut Stats::new());
+            let sup = tree_run(&store, &tree, &outer, k, true, &mut Stats::new());
+            let cold = tree_run(&store, &tree, &inner, k, true, &mut Stats::new());
+            let warm = r_skyband(
+                Source::Superset(&sup),
+                &inner,
+                k,
+                true,
+                ScreenKernel::default(),
+                &mut Stats::new(),
+            )
+            .unwrap();
             assert_eq!(warm, cold, "k = {k}");
         }
     }
@@ -1629,15 +1475,37 @@ mod tests {
             let store = flat(&live);
 
             let fresh_tree = RTree::bulk_load(&live);
-            let cold = r_skyband(&store, &fresh_tree, &region, k, true, &mut Stats::new());
+            let cold = tree_run(&store, &fresh_tree, &region, k, true, &mut Stats::new());
             let view = TreeView::overlay(&base_tree, Some(&remap), &extra);
-            let warm = r_skyband_view(&store, &view, &region, k, true, &mut Stats::new());
+            let warm = r_skyband(
+                Source::Tree {
+                    points: &store,
+                    view,
+                },
+                &region,
+                k,
+                true,
+                ScreenKernel::default(),
+                &mut Stats::new(),
+            )
+            .unwrap();
             assert_eq!(warm, cold, "k = {k}");
             // The sum-key ablation must agree with its own fresh run
             // too (the tree-independence argument does not depend on
             // the key bounding dominance).
-            let cold_sum = r_skyband(&store, &fresh_tree, &region, k, false, &mut Stats::new());
-            let warm_sum = r_skyband_view(&store, &view, &region, k, false, &mut Stats::new());
+            let cold_sum = tree_run(&store, &fresh_tree, &region, k, false, &mut Stats::new());
+            let warm_sum = r_skyband(
+                Source::Tree {
+                    points: &store,
+                    view,
+                },
+                &region,
+                k,
+                false,
+                ScreenKernel::default(),
+                &mut Stats::new(),
+            )
+            .unwrap();
             assert_eq!(warm_sum, cold_sum, "sum key, k = {k}");
         }
     }
@@ -1652,13 +1520,13 @@ mod tests {
         let tree = RTree::bulk_load(&pts);
         let probes = random_points(40, 3, 602);
         for k in [1, 2, 4] {
-            let cands = r_skyband(&flat(&pts), &tree, &region, k, true, &mut Stats::new());
+            let cands = tree_run(&flat(&pts), &tree, &region, k, true, &mut Stats::new());
             for p in &probes {
                 let rejected = rejected_by_members(&cands, p, &region, k, true);
                 let mut grown = pts.clone();
                 grown.push(p.clone());
                 let grown_tree = RTree::bulk_load(&grown);
-                let fresh = r_skyband(
+                let fresh = tree_run(
                     &flat(&grown),
                     &grown_tree,
                     &region,
@@ -1682,7 +1550,7 @@ mod tests {
         for (k, pivot_order) in [(1, true), (3, true), (2, false), (5, false)] {
             let pts = random_points(250, 3, 700 + k as u64);
             let tree = RTree::bulk_load(&pts);
-            let old = r_skyband(
+            let old = tree_run(
                 &flat(&pts),
                 &tree,
                 &region,
@@ -1702,7 +1570,7 @@ mod tests {
             assert!(!live.is_empty(), "fixture must exercise the splice");
             let grown_tree = RTree::bulk_load(&grown);
             let mut cold_stats = Stats::new();
-            let cold = r_skyband(
+            let cold = tree_run(
                 &store,
                 &grown_tree,
                 &region,
@@ -1711,16 +1579,16 @@ mod tests {
                 &mut cold_stats,
             );
             let mut repair_stats = Stats::new();
-            let got = r_skyband_repair_inserts(
-                &old,
-                &live,
-                &store,
-                &region,
-                k,
-                pivot_order,
-                &mut repair_stats,
-            )
-            .expect("repair applies");
+            let source = Source::Repair {
+                old: &old,
+                old_ids_new: &old.ids,
+                live_inserts: &live,
+                points: &store,
+                view: TreeView::packed(&grown_tree),
+            };
+            let kernel = ScreenKernel::default();
+            let got = r_skyband(source, &region, k, pivot_order, kernel, &mut repair_stats)
+                .expect("repair applies");
             assert_eq!(got, cold, "k = {k}, pivot_order = {pivot_order}");
             assert!(
                 repair_stats.rdom_tests < cold_stats.rdom_tests,
@@ -1745,7 +1613,7 @@ mod tests {
             let pivot_order = round % 2 == 0;
             let pts = random_points(220, 3, 1000 + round as u64);
             let tree = RTree::bulk_load(&pts);
-            let old = r_skyband(
+            let old = tree_run(
                 &flat(&pts),
                 &tree,
                 &region,
@@ -1789,7 +1657,7 @@ mod tests {
 
             let fresh_tree = RTree::bulk_load(&live_pts);
             let mut cold_stats = Stats::new();
-            let cold = r_skyband(
+            let cold = tree_run(
                 &store,
                 &fresh_tree,
                 &region,
@@ -1798,18 +1666,16 @@ mod tests {
                 &mut cold_stats,
             );
             let mut repair_stats = Stats::new();
-            let got = r_skyband_repair(
-                &old,
-                &old_ids_new,
-                &live_inserts,
-                &store,
-                &TreeView::packed(&fresh_tree),
-                &region,
-                k,
-                pivot_order,
-                &mut repair_stats,
-            )
-            .expect("repair applies");
+            let source = Source::Repair {
+                old: &old,
+                old_ids_new: &old_ids_new,
+                live_inserts: &live_inserts,
+                points: &store,
+                view: TreeView::packed(&fresh_tree),
+            };
+            let kernel = ScreenKernel::default();
+            let got = r_skyband(source, &region, k, pivot_order, kernel, &mut repair_stats)
+                .expect("repair applies");
             assert_eq!(got, cold, "round {round} (fresh tree)");
             total_repair_tests += repair_stats.rdom_tests;
             total_cold_tests += cold_stats.rdom_tests;
@@ -1817,18 +1683,15 @@ mod tests {
             // Same repair through the stale base tree + overlay.
             let extra: Vec<u32> = (first_inserted..live_pts.len() as u32).collect();
             let overlay = TreeView::overlay(&tree, Some(&shift), &extra);
-            let got_overlay = r_skyband_repair(
-                &old,
-                &old_ids_new,
-                &live_inserts,
-                &store,
-                &overlay,
-                &region,
-                k,
-                pivot_order,
-                &mut Stats::new(),
-            )
-            .expect("repair applies through the overlay");
+            let source = Source::Repair {
+                old: &old,
+                old_ids_new: &old_ids_new,
+                live_inserts: &live_inserts,
+                points: &store,
+                view: overlay,
+            };
+            let got_overlay = r_skyband(source, &region, k, pivot_order, kernel, &mut Stats::new())
+                .expect("repair applies through the overlay");
             assert_eq!(got_overlay, cold, "round {round} (overlay view)");
         }
         // Per-round savings depend on where the victims sat in pop
@@ -1841,6 +1704,100 @@ mod tests {
     }
 
     #[test]
+    fn work_counters_are_pinned_per_source() {
+        // One seeded query through each source, default kernel. The
+        // expected values were recorded before the five sources shared
+        // one driver; a change means the pop order or the screen
+        // protocol moved. Repairs pin what `repair_screens` reads.
+        let region = Region::hyperrect(vec![0.1, 0.15], vec![0.3, 0.35]);
+        let inner = Region::hyperrect(vec![0.15, 0.2], vec![0.25, 0.3]);
+        let (k, kernel) = (6, ScreenKernel::default());
+        let pts = random_points(600, 3, 1200);
+        let tree = RTree::bulk_load(&pts);
+        let tree_work = |s: &Stats| {
+            [
+                s.bbs_pops,
+                s.rdom_tests,
+                s.kernel_blocks,
+                s.screen_prefix_skips,
+                s.candidates,
+            ]
+        };
+        let repair_work = |s: &Stats| [s.rdom_tests, s.kernel_blocks];
+
+        let mut s = Stats::new();
+        let cold = tree_run(&flat(&pts), &tree, &region, k, true, &mut s);
+        assert_eq!(tree_work(&s), [157, 1219, 161, 0, 14], "packed tree");
+
+        let mut s = Stats::new();
+        r_skyband(Source::Superset(&cold), &inner, k, true, kernel, &mut s).unwrap();
+        assert_eq!(tree_work(&s), [0, 76, 13, 0, 8], "superset");
+
+        // Insert-only: a few ordinary records and one that must evict.
+        let mut grown = pts.clone();
+        grown.extend(random_points(10, 3, 1201));
+        grown.push(vec![0.95, 0.95, 0.95]);
+        let live: Vec<u32> = (pts.len() as u32..grown.len() as u32)
+            .filter(|&id| !rejected_by_members(&cold, &grown[id as usize], &region, k, true))
+            .collect();
+        assert!(!live.is_empty(), "fixture must exercise the splice");
+        let extra: Vec<u32> = (pts.len() as u32..grown.len() as u32).collect();
+        let source = Source::Repair {
+            old: &cold,
+            old_ids_new: &cold.ids,
+            live_inserts: &live,
+            points: &flat(&grown),
+            view: TreeView::overlay(&tree, None, &extra),
+        };
+        let mut s = Stats::new();
+        r_skyband(source, &region, k, true, kernel, &mut s).expect("insert repair applies");
+        assert_eq!(repair_work(&s), [86, 16], "insert-only repair");
+
+        // Member delete: the middle member, every seventh non-member,
+        // and three appended records, read through the stale tree.
+        let victim = cold.ids[cold.len() / 2];
+        let mut shift = vec![TOMBSTONE; pts.len()];
+        let mut live_pts: Vec<Vec<f64>> = Vec::new();
+        for (i, p) in pts.iter().enumerate() {
+            let member = cold.ids.contains(&(i as u32));
+            if i as u32 != victim && (member || i % 7 != 0) {
+                shift[i] = live_pts.len() as u32;
+                live_pts.push(p.clone());
+            }
+        }
+        let first_inserted = live_pts.len() as u32;
+        live_pts.extend(random_points(3, 3, 1202));
+        let store = flat(&live_pts);
+        let extra: Vec<u32> = (first_inserted..live_pts.len() as u32).collect();
+        let view = TreeView::overlay(&tree, Some(&shift), &extra);
+
+        let mut s = Stats::new();
+        let source = Source::Tree {
+            points: &store,
+            view,
+        };
+        r_skyband(source, &region, k, true, kernel, &mut s).unwrap();
+        assert_eq!(tree_work(&s), [140, 1083, 144, 0, 13], "overlay tree");
+
+        let old_ids_new: Vec<u32> = cold.ids.iter().map(|&id| shift[id as usize]).collect();
+        let live: Vec<u32> = extra
+            .iter()
+            .copied()
+            .filter(|&id| !rejected_by_members(&cold, &live_pts[id as usize], &region, k, true))
+            .collect();
+        let source = Source::Repair {
+            old: &cold,
+            old_ids_new: &old_ids_new,
+            live_inserts: &live,
+            points: &store,
+            view,
+        };
+        let mut s = Stats::new();
+        r_skyband(source, &region, k, true, kernel, &mut s).expect("delete repair applies");
+        assert_eq!(repair_work(&s), [1059, 137], "member-delete repair");
+    }
+
+    #[test]
     fn vertexless_region_takes_the_scratch_path() {
         // A region built from raw constraints has no vertex list: the
         // screen must fall back to the allocation-free affine-delta
@@ -1850,7 +1807,7 @@ mod tests {
         assert!(raw.vertex_store(CORNER_CAP).is_none());
         let pts = random_points(200, 3, 301);
         let tree = RTree::bulk_load(&pts);
-        let cs = r_skyband(&flat(&pts), &tree, &raw, 3, true, &mut Stats::new());
+        let cs = tree_run(&flat(&pts), &tree, &raw, 3, true, &mut Stats::new());
         let mut got = cs.ids.clone();
         got.sort_unstable();
         assert_eq!(got, brute_r_skyband(&pts, &boxy, 3));

@@ -5,13 +5,13 @@
 //! Deliberately std-only, matching the workspace's offline-shim
 //! policy. Two transports share every layer above the sockets — the
 //! protocol, the [`DatasetRegistry`], admission control, and the wire
-//! bytes are transport-independent, with the [`Listener`]/[`Stream`]
+//! bytes are transport-independent, with the `Listener`/`Stream`
 //! enums as the seam:
 //!
 //! * [`Transport::Evented`] (the default) — a readiness-driven event
-//!   loop ([`crate::reactor`]): one reactor thread drives every
+//!   loop (`crate::reactor`): one reactor thread drives every
 //!   connection as a non-blocking state machine
-//!   ([`crate::conn::Conn`]), and admitted requests execute on a
+//!   (`crate::conn::Conn`), and admitted requests execute on a
 //!   small executor pool, so the open-connection count is bounded by
 //!   [`ServerConfig::max_connections`] (default 4096), not by OS
 //!   threads.

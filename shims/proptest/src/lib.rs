@@ -168,7 +168,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length specifications accepted by [`vec`]: an exact `usize` or
+    /// Length specifications accepted by [`vec()`]: an exact `usize` or
     /// a half-open `Range<usize>`.
     pub trait IntoSizeRange {
         /// `(lo, hi)` half-open length bounds.
@@ -195,7 +195,7 @@ pub mod collection {
         VecStrategy { element, lo, hi }
     }
 
-    /// The [`vec`] strategy.
+    /// The [`vec()`] strategy.
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

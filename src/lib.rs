@@ -159,12 +159,13 @@
 //! survivors are id-remapped in place and re-keyed under the new
 //! epoch.
 //! Entries a mutation *does* touch are **spliced**, not dropped:
-//! [`r_skyband_repair`](core::skyband::r_skyband_repair) re-screens
-//! only the member prefix the mutation can affect and merges live
-//! inserts in pop order, producing a candidate set **byte-identical**
-//! to a fresh [`r_skyband`](core::skyband::r_skyband) — or `None`,
-//! in which case the engine falls back to a full recompute (repair
-//! may only ever be a pure optimization). Serving (`update` op,
+//! [`r_skyband`](core::skyband::r_skyband) over a
+//! [`Source::Repair`](core::skyband::Source::Repair) keeps the member
+//! prefix the mutation cannot reach, merges live inserts in pop order
+//! and re-screens only the rest, producing a candidate set
+//! **byte-identical** to a cold run — or `None`, in which case the
+//! engine drops the entry and the next query that needs it recomputes
+//! it (repair may only ever be a pure optimization). Serving (`update` op,
 //! re-dealing the shared cache budget as sizes change), `utk update`,
 //! and `utk batch --mutations` expose the same seam end to end.
 //!
@@ -336,9 +337,7 @@ pub mod prelude {
     pub use utk_core::rsa::{rsa, rsa_with_tree, RsaOptions, Utk1Result};
     pub use utk_core::scoring::GeneralScoring;
     pub use utk_core::skyband::{
-        k_skyband, r_skyband, r_skyband_from_superset, r_skyband_from_superset_with_kernel,
-        r_skyband_view, r_skyband_view_with_kernel, r_skyband_with_kernel, rejected_by_members,
-        CandidateSet, TreeView,
+        k_skyband, r_skyband, rejected_by_members, CandidateSet, Source, TreeView,
     };
     pub use utk_core::stats::Stats;
     pub use utk_data::Dataset;

@@ -3,7 +3,6 @@
 
 use rand::prelude::*;
 use utk::core::drill::graph_top_k;
-use utk::core::skyband::r_skyband;
 use utk::core::topk::top_k_brute;
 use utk::data::synthetic::{generate, Distribution};
 use utk::geom::pref_score;
@@ -26,13 +25,17 @@ fn graph_topk_equals_rtree_topk_everywhere_in_r() {
         let (points, tree, region) = workload(dist, 2_000, 3, 40);
         let k = 5;
         let cands = r_skyband(
-            &PointStore::from_rows(&points),
-            &tree,
+            Source::Tree {
+                points: &PointStore::from_rows(&points),
+                view: TreeView::packed(&tree),
+            },
             &region,
             k,
             true,
+            ScreenKernel::default(),
             &mut Stats::new(),
-        );
+        )
+        .unwrap();
         let removed = vec![false; cands.len()];
         for _ in 0..50 {
             let w = vec![rng.gen_range(0.15..0.28), rng.gen_range(0.15..0.28)];
@@ -69,13 +72,17 @@ fn removing_non_utk_records_never_changes_topk() {
     let k = 4;
     let utk1 = rsa_with_tree(&points, &tree, &region, k, &RsaOptions::default());
     let cands = r_skyband(
-        &PointStore::from_rows(&points),
-        &tree,
+        Source::Tree {
+            points: &PointStore::from_rows(&points),
+            view: TreeView::packed(&tree),
+        },
         &region,
         k,
         true,
+        ScreenKernel::default(),
         &mut Stats::new(),
-    );
+    )
+    .unwrap();
     let removed: Vec<bool> = (0..cands.len())
         .map(|ci| !utk1.records.contains(&cands.ids[ci]))
         .collect();
@@ -100,13 +107,17 @@ fn graph_structure_invariants_on_real_workloads() {
     for (dist, seed) in [(Distribution::Cor, 50u64), (Distribution::Anti, 51)] {
         let (points, tree, region) = workload(dist, 1_000, 4, seed);
         let cands = r_skyband(
-            &PointStore::from_rows(&points),
-            &tree,
+            Source::Tree {
+                points: &PointStore::from_rows(&points),
+                view: TreeView::packed(&tree),
+            },
             &region,
             6,
             true,
+            ScreenKernel::default(),
             &mut Stats::new(),
-        );
+        )
+        .unwrap();
         let g = &cands.graph;
         for v in 0..cands.len() as u32 {
             // Children are descendants, and their ancestor sets

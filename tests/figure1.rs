@@ -108,13 +108,17 @@ fn r_skyband_filter_is_exactly_the_answer_here() {
     let tree = RTree::bulk_load(&hotels.points);
     let mut stats = Stats::new();
     let cs = r_skyband(
-        &PointStore::from_rows(&hotels.points),
-        &tree,
+        Source::Tree {
+            points: &PointStore::from_rows(&hotels.points),
+            view: TreeView::packed(&tree),
+        },
         &region(),
         2,
         true,
+        ScreenKernel::default(),
         &mut stats,
-    );
+    )
+    .unwrap();
     let mut ids = cs.ids.clone();
     ids.sort_unstable();
     assert_eq!(ids, WANT);

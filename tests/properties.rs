@@ -74,7 +74,7 @@ proptest! {
 
         let tree = RTree::bulk_load(&pts);
         let store = PointStore::from_rows(&pts);
-        let cs = r_skyband(&store, &tree, &region, k, true, &mut Stats::new());
+        let cs = r_skyband(Source::Tree { points: &store, view: TreeView::packed(&tree) }, &region, k, true, ScreenKernel::default(), &mut Stats::new()).unwrap();
         for id in &res.records {
             prop_assert!(cs.ids.contains(id));
         }
@@ -260,7 +260,7 @@ proptest! {
         let region = Region::hyperrect(lo, hi);
         let tree = RTree::bulk_load(&pts);
         let store = PointStore::from_rows(&pts);
-        let cs = r_skyband(&store, &tree, &region, k, true, &mut Stats::new());
+        let cs = r_skyband(Source::Tree { points: &store, view: TreeView::packed(&tree) }, &region, k, true, ScreenKernel::default(), &mut Stats::new()).unwrap();
         for v in 0..cs.len() as u32 {
             prop_assert!(cs.graph.dominance_count(v) < k);
             for &a in cs.graph.ancestors(v) {
@@ -334,9 +334,9 @@ proptest! {
 
         let tree = RTree::bulk_load(&pts);
         let store = PointStore::from_rows(&pts);
-        let sup = r_skyband(&store, &tree, &outer, k, true, &mut Stats::new());
-        let cold = r_skyband(&store, &tree, &inner, k, true, &mut Stats::new());
-        let warm = r_skyband_from_superset(&sup, &inner, k, &mut Stats::new());
+        let sup = r_skyband(Source::Tree { points: &store, view: TreeView::packed(&tree) }, &outer, k, true, ScreenKernel::default(), &mut Stats::new()).unwrap();
+        let cold = r_skyband(Source::Tree { points: &store, view: TreeView::packed(&tree) }, &inner, k, true, ScreenKernel::default(), &mut Stats::new()).unwrap();
+        let warm = r_skyband(Source::Superset(&sup), &inner, k, true, ScreenKernel::default(), &mut Stats::new()).unwrap();
         prop_assert_eq!(&warm.ids, &cold.ids);
         prop_assert_eq!(&warm.points, &cold.points);
         prop_assert_eq!(&warm.graph, &cold.graph);

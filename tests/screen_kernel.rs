@@ -2,13 +2,14 @@
 //! r-dominance classifier must be observationally invisible — every
 //! lane of every block agrees with the scalar `classify_corner_scores`
 //! oracle, and whole r-skyband outputs (fresh build, superset
-//! re-screen, splice repair inside the engine) are byte-identical
+//! re-screen, both splice repairs) are byte-identical
 //! across both [`ScreenKernel`] settings.
 
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use utk::core::rdominance::{blocked_dominates_mask, classify_corner_scores, RDominance};
+use utk::core::skyband::TOMBSTONE;
 use utk::geom::tol::EPS;
 use utk::geom::{ScorePanel, SCORE_LANES};
 use utk::prelude::*;
@@ -80,10 +81,11 @@ proptest! {
         prop_assert_eq!(u32::from(mask) >> live, 0, "padding lane claimed dominance");
     }
 
-    /// Whole-output byte-identity, fresh and superset-reuse: the
-    /// r-skyband `CandidateSet` (ids, points, dominator graph) of the
-    /// blocked kernel equals the scalar oracle's, on a fresh tree walk
-    /// and when re-screening a cached superset for a nested region.
+    /// Whole-output byte-identity for every r-skyband source: the
+    /// `CandidateSet` (ids, points, dominator graph) of the blocked
+    /// kernel equals the scalar oracle's on a fresh tree walk, when
+    /// re-screening a cached superset for a nested region, and when
+    /// splice-repairing the fresh set after inserts or a member delete.
     #[test]
     fn rskyband_is_identical_across_kernels(
         seed in 0u64..1 << 32,
@@ -103,7 +105,7 @@ proptest! {
         let fresh: Vec<CandidateSet> = kernels
             .iter()
             .map(|&kernel| {
-                r_skyband_with_kernel(&store, &tree, &outer, k, true, kernel, &mut Stats::new())
+                r_skyband(Source::Tree { points: &store, view: TreeView::packed(&tree) }, &outer, k, true, kernel, &mut Stats::new()).unwrap()
             })
             .collect();
         prop_assert_eq!(&fresh[1], &fresh[0], "blocked diverged from scalar (fresh)");
@@ -117,10 +119,58 @@ proptest! {
             .iter()
             .zip(&fresh)
             .map(|(&kernel, sup)| {
-                r_skyband_from_superset_with_kernel(sup, &inner, k, kernel, &mut Stats::new())
+                r_skyband(Source::Superset(sup), &inner, k, true, kernel, &mut Stats::new()).unwrap()
             })
             .collect();
         prop_assert_eq!(&warm[1], &warm[0], "blocked diverged from scalar (superset)");
+
+        // Splice repairs of the fresh set, both branches: inserts only
+        // (the list pass) and a member delete (the tree pass, through
+        // the stale tree's overlay). One insert dominates everything,
+        // so the splice always has work to do.
+        let old = &fresh[0];
+        let mut inserts: Vec<Vec<f64>> = (0..3)
+            .map(|_| (0..d).map(|_| rng.gen_range(0.0..1.0)).collect())
+            .collect();
+        inserts.push(vec![0.99; d]);
+        let victim = old.ids[old.len() / 2];
+        for delete in [false, true] {
+            let mut shift = vec![TOMBSTONE; pts.len()];
+            let mut rows: Vec<Vec<f64>> = Vec::new();
+            for (i, p) in pts.iter().enumerate() {
+                if !(delete && i as u32 == victim) {
+                    shift[i] = rows.len() as u32;
+                    rows.push(p.clone());
+                }
+            }
+            let extra: Vec<u32> = (rows.len() as u32..(rows.len() + inserts.len()) as u32).collect();
+            rows.extend(inserts.iter().cloned());
+            let store = PointStore::from_rows(&rows);
+            let old_ids_new: Vec<u32> = old.ids.iter().map(|&id| shift[id as usize]).collect();
+            let live_inserts: Vec<u32> = extra
+                .iter()
+                .copied()
+                .filter(|&id| !rejected_by_members(old, &rows[id as usize], &outer, k, true))
+                .collect();
+            let repaired: Vec<Option<CandidateSet>> = kernels
+                .iter()
+                .map(|&kernel| {
+                    let source = Source::Repair {
+                        old,
+                        old_ids_new: &old_ids_new,
+                        live_inserts: &live_inserts,
+                        points: &store,
+                        view: TreeView::overlay(&tree, Some(&shift), &extra),
+                    };
+                    r_skyband(source, &outer, k, true, kernel, &mut Stats::new())
+                })
+                .collect();
+            prop_assert!(repaired[0].is_some(), "repair refused (delete = {})", delete);
+            prop_assert_eq!(
+                &repaired[1], &repaired[0],
+                "blocked diverged from scalar (repair, delete = {})", delete
+            );
+        }
     }
 
     /// End-to-end engine twins over random mutation interleavings: a
