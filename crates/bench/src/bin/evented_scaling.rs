@@ -1,15 +1,14 @@
-//! Serving figure: evented-transport connection scaling — the reason
-//! the readiness-driven reactor exists. A thread-per-connection
-//! transport tops out at its thread cap; the reactor holds thousands
-//! of sockets on one thread and sheds the rest with a *typed* busy
-//! line, never a silent drop.
+//! Serving figure: connection scaling of the readiness-driven reactor
+//! behind `utk serve`. The reactor holds thousands of sockets on one
+//! thread, with no OS thread per connection, and sheds the rest with
+//! a *typed* busy line, never a silent drop.
 //!
-//! Two phases against an in-process evented server on TCP:
+//! Two phases against an in-process server on TCP:
 //!
 //! 1. **scaling** — opens 1088 concurrent connections (past the 1024
-//!    mark and far past the threads transport's 256 default), then
-//!    serves a query on every one of them, twice, asserting all
-//!    answers are identical — every connection stays live end to end;
+//!    mark), then serves a query on every one of them, twice,
+//!    asserting all answers are identical — every connection stays
+//!    live end to end;
 //! 2. **shedding** — caps the server at 256 connections and opens the
 //!    same 1088: exactly the cap is served, every over-cap connection
 //!    reads a typed `busy` error line (then EOF), and the observed
@@ -32,12 +31,11 @@ use utk_data::csv::write_csv;
 use utk_data::synthetic::{generate, Distribution};
 use utk_server::client::Connection;
 use utk_server::proto::{code, Request, Response};
-use utk_server::server::{Bind, Server, ServerConfig, ServerHandle, Transport};
+use utk_server::server::{Bind, Server, ServerConfig, ServerHandle};
 
 const D: usize = 3;
 const K: usize = 10;
-/// Concurrent connections in the scaling phase: past 1024, and 4×
-/// the threads transport's default connection cap.
+/// Concurrent connections in the scaling phase: past 1024.
 const CONNECTIONS: usize = 1088;
 /// The connection cap in the shedding phase.
 const SHED_CAP: usize = 256;
@@ -52,7 +50,6 @@ fn dataset_dir(cfg: &Config, n: usize) -> PathBuf {
 
 fn start_server(dir: &Path, max_connections: usize) -> ServerHandle {
     let mut config = ServerConfig::new(Bind::Tcp(0), dir.to_path_buf());
-    config.transport = Transport::Evented;
     config.max_connections = max_connections;
     Server::bind(config).expect("bind bench server").spawn()
 }

@@ -19,16 +19,13 @@
 //!   change dataset sizes); `update` mutates the resident engine and
 //!   its CSV payload in memory only — evict-then-reload reverts to
 //!   disk;
-//! * [`server`] — the serving front end behind two interchangeable
-//!   transports (`server::Transport`): the default readiness-driven
-//!   **evented** reactor (one event-loop thread, non-blocking
-//!   sockets, per-connection state machines, admitted work on a
-//!   bounded executor pool) and the legacy thread-per-connection
-//!   loop, kept as a differential oracle. Both share the query path
-//!   on the engines' work-stealing pools, bounded in-flight
+//! * [`server`] — the serving front end: a readiness-driven reactor
+//!   (one event-loop thread, non-blocking sockets, per-connection
+//!   state machines, admitted work on a bounded executor pool) with
+//!   queries on the engines' work-stealing pools, bounded in-flight
 //!   **admission control** (overload is shed with a typed `busy`
 //!   error, never queued unboundedly), and graceful drain on
-//!   shutdown; `batch` output is byte-identical across them;
+//!   shutdown; `batch` output is byte-identical to `utk batch`;
 //! * [`client`] — the blocking protocol client behind `utk client`.
 //!
 //! ```no_run
@@ -61,4 +58,4 @@ pub mod spec;
 pub use client::{BatchReply, Connection};
 pub use proto::{MetricsFormat, ProtoError, Request, Response, StatsBody, WalDatasetStats};
 pub use registry::{DatasetRegistry, LoadedDataset};
-pub use server::{Bind, ServeSnapshot, Server, ServerConfig, ServerHandle, Transport};
+pub use server::{Bind, ServeSnapshot, Server, ServerConfig, ServerHandle};

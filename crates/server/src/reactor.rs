@@ -1,10 +1,10 @@
-//! The readiness-driven event loop behind [`Transport::Evented`].
+//! The readiness-driven event loop behind [`Server::run`].
 //!
 //! One reactor thread owns the non-blocking listener and every
 //! [`Conn`] state machine, sweeping the ready set each tick: drain
 //! executor completions, accept new connections (shedding over-cap
-//! ones with a typed `busy` line, exactly like the threads
-//! transport's connection cap), then [`Conn::step`] each connection.
+//! ones with a typed `busy` line), then [`Conn::step`] each
+//! connection.
 //! The workspace forbids `unsafe`, so there is no `poll(2)` FFI —
 //! readiness is discovered by `WouldBlock`-aware scans, and the sweep
 //! parks on a condvar between ticks. The park is cut short the
@@ -22,12 +22,12 @@
 //! executor hands the fully rendered response bytes back to the
 //! reactor, which drains them to the socket as it becomes writable.
 //! Control ops (`stats`/`metrics`/`evict`/`shutdown`) are answered
-//! inline, slot-free, as on the threads transport.
+//! inline, slot-free.
 //!
 //! Shutdown drains: accepting stops, executing requests finish, every
 //! write buffer empties, then the loop exits and the executor joins.
 //!
-//! [`Transport::Evented`]: crate::server::Transport::Evented
+//! [`Server::run`]: crate::server::Server::run
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -36,7 +36,12 @@ use std::time::Duration;
 
 use crate::conn::{Conn, Step};
 use crate::proto::{code, ProtoError, Request};
-use crate::server::{respond_admitted, write_line, AdmitSlot, Listener, Shared, POLL};
+use crate::server::{respond_admitted, write_line, AdmitSlot, Listener, Shared, Stream};
+
+/// Write timeout for the best-effort `busy` line sent to a refused
+/// over-cap connection: it bounds how long the reactor thread waits
+/// on a peer it is turning away.
+const REFUSAL_WRITE_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// An admitted work op in flight from reactor to executor. The
 /// [`AdmitSlot`] travels with it, so the inflight gauge covers the
@@ -85,7 +90,7 @@ pub(crate) struct Executor {
 }
 
 impl Executor {
-    fn new(shared: &Arc<Shared>, max_inflight: usize) -> Executor {
+    pub(crate) fn new(shared: &Arc<Shared>, max_inflight: usize) -> Executor {
         Executor {
             shared: Arc::clone(shared),
             inner: Arc::new(ExecInner {
@@ -162,9 +167,8 @@ impl Executor {
 }
 
 /// One executor worker: pop a job, render its response into a
-/// buffer (the same [`respond_admitted`] path the threads transport
-/// runs, so wire bytes and bookkeeping are identical), hand the bytes
-/// back, wake the reactor.
+/// buffer through [`respond_admitted`], hand the bytes back, wake the
+/// reactor.
 fn worker(shared: Arc<Shared>, inner: Arc<ExecInner>) {
     loop {
         let job = {
@@ -219,15 +223,13 @@ fn tick_for(connections: usize) -> Duration {
 }
 
 /// Sheds an over-cap connection with a best-effort typed `busy` line
-/// (the same shape and counter as the threads transport's connection
-/// cap) and drops it.
-fn refuse(stream: crate::server::Stream, max_connections: usize, shared: &Arc<Shared>) {
+/// (counted in `busy_rejections`) and drops it.
+fn refuse(mut stream: Stream, max_connections: usize, shared: &Arc<Shared>) {
     let refusal = ProtoError {
         code: code::BUSY,
         message: format!("server is at {max_connections} connections"),
     };
-    let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(POLL));
+    let _ = stream.set_write_timeout(Some(REFUSAL_WRITE_TIMEOUT));
     let _ = write_line(&mut stream, &refusal.to_json());
     shared.busy_rejections.fetch_add(1, Ordering::SeqCst);
 }

@@ -1,31 +1,21 @@
-//! The serving loop: accept connections on a TCP or Unix socket,
+//! The serving front end: accept connections on a TCP or Unix socket,
 //! answer newline-delimited JSON requests ([`crate::proto`]), shed
 //! overload, drain cleanly on shutdown.
 //!
 //! Deliberately std-only, matching the workspace's offline-shim
-//! policy. Two transports share every layer above the sockets — the
-//! protocol, the [`DatasetRegistry`], admission control, and the wire
-//! bytes are transport-independent, with the `Listener`/`Stream`
-//! enums as the seam:
+//! policy. [`Server::run`] drives a readiness-driven event loop
+//! (`crate::reactor`): one reactor thread drives every connection as a
+//! non-blocking state machine (`crate::conn::Conn`), and admitted
+//! requests execute on a small executor pool, so the open-connection
+//! count is bounded by [`ServerConfig::max_connections`], not by OS
+//! threads. The `Listener`/`Stream` enums hide which socket family is
+//! underneath.
 //!
-//! * [`Transport::Evented`] (the default) — a readiness-driven event
-//!   loop (`crate::reactor`): one reactor thread drives every
-//!   connection as a non-blocking state machine
-//!   (`crate::conn::Conn`), and admitted requests execute on a
-//!   small executor pool, so the open-connection count is bounded by
-//!   [`ServerConfig::max_connections`] (default 4096), not by OS
-//!   threads.
-//! * [`Transport::Threads`] — the original thread-per-connection
-//!   loop, kept as a differential oracle for one release: the accept
-//!   loop polls a non-blocking listener, connection reads run under a
-//!   short timeout so every thread notices the shutdown flag, and
-//!   each connection gets one OS thread for its I/O.
-//!
-//! Under both transports the *query work* is not tied to transport
-//! threads — `batch` ops run through [`UtkEngine::run_many`] and
-//! `query` ops are spawned onto the engine's persistent work-stealing
-//! pool, so compute parallelism is governed by the per-engine pool
-//! size, not by the connection count.
+//! The *query work* is not tied to executor threads either: `batch`
+//! ops run through [`UtkEngine::run_many`] and `query` ops are
+//! spawned onto the engine's persistent work-stealing pool, so compute
+//! parallelism is governed by the per-engine pool size, not by the
+//! connection count.
 //!
 //! # Admission control
 //!
@@ -36,21 +26,22 @@
 //! under overload clients get a fast typed signal to back off, and
 //! the work the server takes on stays bounded. Cheap control ops
 //! (`stats`, `evict`, `shutdown`) are always admitted. Per-connection
-//! resources are bounded separately: at most [`MAX_CONNECTIONS`]
-//! connections are open at once (excess ones are refused with a
-//! `busy` line), request lines are capped at [`MAX_REQUEST_BYTES`],
-//! and responses stream line-by-line.
+//! resources are bounded separately: at most
+//! [`ServerConfig::max_connections`] connections (default
+//! [`MAX_CONNECTIONS`]) are open at once (excess ones are refused with
+//! a `busy` line), request lines are capped at [`MAX_REQUEST_BYTES`],
+//! and a connection buffers at most one response at a time.
 //!
 //! # Shutdown
 //!
-//! A `shutdown` request flips a flag. The accept loop stops
-//! accepting; each connection thread finishes the request it is
-//! executing (in-flight queries drain, never abort), notices the flag
-//! at its next poll tick, and exits; [`Server::run`] joins every
-//! connection thread, removes a Unix socket file, and returns the
-//! final counters.
+//! A `shutdown` request flips a flag. The reactor stops accepting;
+//! executing requests finish (in-flight queries drain, never abort),
+//! complete request lines already read are still answered, and every
+//! buffered response is written out. Once the last connection closes,
+//! [`Server::run`] joins the executor pool, removes a Unix socket
+//! file, and returns the final counters.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -69,10 +60,6 @@ use utk_core::error::UtkError;
 use utk_core::obs::{Clock, MetricsRegistry, MonotonicClock, Phase, PhaseTimings};
 use utk_core::wire::escape;
 
-/// How long a blocked connection read waits before re-checking the
-/// shutdown flag.
-pub(crate) const POLL: Duration = Duration::from_millis(25);
-
 /// Hard cap on one request line's bytes. Admission control bounds
 /// concurrent *compute*; this bounds per-connection *memory* — a
 /// client streaming an endless unterminated line (or an enormous
@@ -89,65 +76,17 @@ pub const MAX_REQUEST_BYTES: usize = 32 << 20;
 /// peer is gone; the socket is shut down (so the peer sees a clean
 /// EOF mid-line, never a torn prefix passing as a complete response)
 /// and the connection dropped. Partial writes inside the window are
-/// *progress* and always resume — a slow-but-alive reader gets its
-/// whole response (see [`PatientWriter`]).
+/// *progress* and always resume from the last byte written — a
+/// slow-but-alive reader gets its whole response.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Default connection cap for [`Transport::Threads`]. Each connection
-/// costs one OS thread and up to [`MAX_REQUEST_BYTES`] of read
-/// buffer, so without a cap a connection flood (which never trips
-/// admission control — that gates *requests*) could exhaust threads
-/// and memory. Excess connections get a best-effort `busy` error line
-/// and are closed immediately.
-pub const MAX_CONNECTIONS: usize = 256;
-
-/// Default connection cap for [`Transport::Evented`]. Connections
-/// there cost buffers, not threads, so the ceiling is set by memory
-/// and file descriptors rather than the scheduler.
-pub const MAX_EVENTED_CONNECTIONS: usize = 4096;
-
-/// Which serving front end [`Server::run`] drives. Everything above
-/// the sockets is shared; `batch` output is byte-identical across
-/// transports (CI diffs them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// Readiness-driven event loop (the default): one reactor thread,
-    /// non-blocking sockets, per-connection state machines, admitted
-    /// work on a bounded executor pool.
-    #[default]
-    Evented,
-    /// One OS thread per connection — the pre-reactor transport, kept
-    /// as a differential oracle for one release.
-    Threads,
-}
-
-impl Transport {
-    /// The wire spelling used by `--transport`.
-    pub fn label(self) -> &'static str {
-        match self {
-            Transport::Evented => "evented",
-            Transport::Threads => "threads",
-        }
-    }
-
-    /// Parses the `--transport` flag value.
-    pub fn from_label(label: &str) -> Option<Transport> {
-        match label {
-            "evented" => Some(Transport::Evented),
-            "threads" => Some(Transport::Threads),
-            _ => None,
-        }
-    }
-
-    /// The transport's default connection cap (used when
-    /// [`ServerConfig::max_connections`] is 0).
-    pub fn default_max_connections(self) -> usize {
-        match self {
-            Transport::Evented => MAX_EVENTED_CONNECTIONS,
-            Transport::Threads => MAX_CONNECTIONS,
-        }
-    }
-}
+/// Default connection cap ([`ServerConfig::max_connections`]). A
+/// connection costs buffers, not a thread, so the ceiling is set by
+/// memory and file descriptors rather than the scheduler; it still
+/// exists because a connection flood never trips admission control
+/// (that gates *requests*). Excess connections get a best-effort
+/// `busy` error line and are closed immediately.
+pub const MAX_CONNECTIONS: usize = 4096;
 
 /// Where the server listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,14 +146,6 @@ impl Stream {
             #[cfg(unix)]
             Stream::Unix(s) => s.try_clone().map(Stream::Unix),
             Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
-        }
-    }
-
-    pub(crate) fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.set_read_timeout(dur),
-            Stream::Tcp(s) => s.set_read_timeout(dur),
         }
     }
 
@@ -320,11 +251,9 @@ pub struct ServerConfig {
     /// Rotate the slow-query log file once it would exceed this many
     /// bytes (the current file moves to `<path>.1`); 0 never rotates.
     pub slow_query_log_max_bytes: u64,
-    /// Which serving front end to run (see [`Transport`]).
-    pub transport: Transport,
-    /// Cap on concurrently open connections; 0 uses the transport's
-    /// default ([`MAX_EVENTED_CONNECTIONS`] / [`MAX_CONNECTIONS`]).
-    /// Excess connections get a best-effort `busy` line and close.
+    /// Cap on concurrently open connections (default
+    /// [`MAX_CONNECTIONS`]; 0 is treated as 1). Excess connections get
+    /// a best-effort `busy` line and close.
     pub max_connections: usize,
     /// Bound on *zero-progress* response writing: once a peer has
     /// accepted no bytes for this long, its socket is shut down and
@@ -349,8 +278,7 @@ impl ServerConfig {
             slow_query_ms: None,
             slow_query_log: None,
             slow_query_log_max_bytes: 16 << 20,
-            transport: Transport::default(),
-            max_connections: 0,
+            max_connections: MAX_CONNECTIONS,
             write_timeout: WRITE_TIMEOUT,
         }
     }
@@ -526,11 +454,50 @@ impl SlowQuerySink {
 }
 
 impl Shared {
+    /// The state every connection shares: the registry, the admission
+    /// window, the counters and the slow-query log. The bind address
+    /// and the per-connection settings in `config` belong to the
+    /// [`Server`] and are ignored here.
+    pub(crate) fn new(config: ServerConfig) -> Shared {
+        let registry = DatasetRegistry::new(
+            config.datasets_dir,
+            config.cache_budget,
+            config.pool_threads,
+        )
+        .with_clock(Arc::clone(&config.clock));
+        let registry = match config.wal_dir {
+            Some(dir) => registry.with_wal_dir(dir),
+            None => registry,
+        };
+        let registry = match config.wal_compact_every {
+            Some(n) => registry.with_wal_compact_every(n),
+            None => registry,
+        };
+        Shared {
+            registry,
+            max_inflight: config.max_inflight.max(1),
+            inflight: AtomicUsize::new(0),
+            requests_served: AtomicU64::new(0),
+            busy_rejections: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            clock: config.clock,
+            metrics: MetricsRegistry::new(),
+            slow_query: config.slow_query_ms.map(|ms| SlowQueryLog {
+                threshold_nanos: ms.saturating_mul(1_000_000),
+                sink: config.slow_query_log.map(|path| SlowQuerySink {
+                    path,
+                    max_bytes: config.slow_query_log_max_bytes,
+                    state: Mutex::new(SlowSinkState::default()),
+                }),
+            }),
+        }
+    }
+
     pub(crate) fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// The admission limit (also bounds the evented executor pool).
+    /// The admission limit (also bounds the executor pool).
     pub(crate) fn max_inflight(&self) -> usize {
         self.max_inflight
     }
@@ -677,9 +644,9 @@ impl Shared {
 }
 
 /// RAII slot in the in-flight admission window. Owns its handle on
-/// [`Shared`] so the evented transport can claim it on the reactor
-/// thread (shed-or-admit happens *before* any queueing) and release
-/// it on the executor thread that finishes the request.
+/// [`Shared`] so the reactor can claim it on its own thread
+/// (shed-or-admit happens *before* any queueing) and the executor
+/// thread that finishes the request can release it.
 pub(crate) struct AdmitSlot(Arc<Shared>);
 
 impl AdmitSlot {
@@ -770,7 +737,6 @@ pub struct Server {
     listener: Listener,
     bind: Bind,
     shared: Arc<Shared>,
-    transport: Transport,
     max_connections: usize,
     write_timeout: Duration,
     #[cfg(unix)]
@@ -817,45 +783,9 @@ impl Server {
         Ok(Server {
             listener,
             bind,
-            transport: config.transport,
-            max_connections: match config.max_connections {
-                0 => config.transport.default_max_connections(),
-                n => n,
-            },
+            max_connections: config.max_connections.max(1),
             write_timeout: config.write_timeout,
-            shared: Arc::new(Shared {
-                registry: {
-                    let registry = DatasetRegistry::new(
-                        config.datasets_dir,
-                        config.cache_budget,
-                        config.pool_threads,
-                    )
-                    .with_clock(Arc::clone(&config.clock));
-                    let registry = match config.wal_dir {
-                        Some(dir) => registry.with_wal_dir(dir),
-                        None => registry,
-                    };
-                    match config.wal_compact_every {
-                        Some(n) => registry.with_wal_compact_every(n),
-                        None => registry,
-                    }
-                },
-                max_inflight: config.max_inflight.max(1),
-                inflight: AtomicUsize::new(0),
-                requests_served: AtomicU64::new(0),
-                busy_rejections: AtomicU64::new(0),
-                shutdown: AtomicBool::new(false),
-                clock: Arc::clone(&config.clock),
-                metrics: MetricsRegistry::new(),
-                slow_query: config.slow_query_ms.map(|ms| SlowQueryLog {
-                    threshold_nanos: ms.saturating_mul(1_000_000),
-                    sink: config.slow_query_log.map(|path| SlowQuerySink {
-                        path,
-                        max_bytes: config.slow_query_log_max_bytes,
-                        state: Mutex::new(SlowSinkState::default()),
-                    }),
-                }),
-            }),
+            shared: Arc::new(Shared::new(config)),
             #[cfg(unix)]
             socket_path,
         })
@@ -872,73 +802,22 @@ impl Server {
         self.shared.registry.available()
     }
 
-    /// Runs the configured transport until a `shutdown` request, then
-    /// drains in-flight work and returns the final counters.
+    /// Runs the event loop until a `shutdown` request, then drains
+    /// in-flight work and returns the final counters.
     pub fn run(self) -> std::io::Result<ServeSnapshot> {
         self.listener.set_nonblocking(true)?;
-        match self.transport {
-            Transport::Threads => self.run_threads()?,
-            Transport::Evented => crate::reactor::run(
-                &self.listener,
-                &self.shared,
-                self.max_connections,
-                self.write_timeout,
-            )?,
-        }
+        crate::reactor::run(
+            &self.listener,
+            &self.shared,
+            self.max_connections,
+            self.write_timeout,
+        )?;
         drop(self.listener);
         #[cfg(unix)]
         if let Some(path) = &self.socket_path {
             let _ = std::fs::remove_file(path);
         }
         Ok(self.shared.snapshot())
-    }
-
-    /// The thread-per-connection accept loop (the differential oracle
-    /// for the evented transport).
-    fn run_threads(&self) -> std::io::Result<()> {
-        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shared.shutting_down() {
-            match self.listener.accept() {
-                Ok(mut stream) => {
-                    // Reap finished connection threads so the handle
-                    // list (and the cap below) tracks *live*
-                    // connections.
-                    connections.retain(|conn| !conn.is_finished());
-                    if connections.len() >= self.max_connections {
-                        let refusal = ProtoError {
-                            code: code::BUSY,
-                            message: format!("server is at {} connections", self.max_connections),
-                        };
-                        let _ = stream.set_write_timeout(Some(POLL));
-                        let _ = write_line(&mut stream, &refusal.to_json());
-                        self.shared.busy_rejections.fetch_add(1, Ordering::SeqCst);
-                        continue;
-                    }
-                    let shared = Arc::clone(&self.shared);
-                    let write_timeout = self.write_timeout;
-                    connections.push(std::thread::spawn(move || {
-                        handle_connection(stream, &shared, write_timeout);
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    // Transient accept failures (EMFILE under an FD
-                    // burst, ECONNABORTED, …) must shed, not kill the
-                    // server: overload is a condition to ride out.
-                    eprintln!("utk serve: accept error (retrying): {e}");
-                    std::thread::sleep(POLL);
-                }
-            }
-        }
-        // Drain: let every connection finish its in-flight request
-        // and notice the flag.
-        for conn in connections {
-            let _ = conn.join();
-        }
-        Ok(())
     }
 
     /// Runs the server on a background thread, returning a handle for
@@ -982,9 +861,11 @@ impl ServerHandle {
     }
 }
 
-/// Runs one query on the engine's persistent worker pool (so compute
-/// lands on pool workers, not the connection's I/O thread) and waits
-/// for it.
+/// Runs one query on the engine's persistent worker pool and waits
+/// for it. The calling executor thread only waits: up to
+/// `min(max_inflight, 256)` executor threads exist, and routing the
+/// compute through the pool bounds concurrent query work to the
+/// pool's size.
 fn run_on_pool(engine: &UtkEngine, query: &UtkQuery) -> Result<QueryResult, UtkError> {
     let slot: Arc<Mutex<Option<Result<QueryResult, UtkError>>>> = Arc::new(Mutex::new(None));
     let set = engine.pool().task_set();
@@ -1006,225 +887,20 @@ fn run_on_pool(engine: &UtkEngine, query: &UtkQuery) -> Result<QueryResult, UtkE
     result
 }
 
-/// What one [`read_request_line`] call produced.
-enum LineRead {
-    /// A complete, newline-terminated line is in the buffer.
-    Line,
-    /// EOF; the buffer may hold a final unterminated line.
-    Eof,
-    /// The connection must close: oversized line, or shutdown while a
-    /// line was still incomplete.
-    Closed,
-}
-
-/// Reads one request line into `buf`, checking the shutdown flag and
-/// the byte cap between *every* socket read — a peer trickling bytes
-/// without a newline can neither stall shutdown (the drain joins this
-/// thread) nor grow the buffer past [`MAX_REQUEST_BYTES`]. Bytes, not
-/// a `String`: `read_line` discards a tick's consumed bytes when a
-/// timeout lands mid-UTF-8-character, silently corrupting the
-/// request; raw bytes survive any split.
-///
-/// `ErrorKind::Interrupted` (EINTR) is a pure retry — a signal landing
-/// mid-read is not a poll tick, counts against nothing, and can never
-/// close the connection.
-fn read_request_line<R: BufRead>(
-    reader: &mut R,
-    buf: &mut Vec<u8>,
-    shutdown: &AtomicBool,
-) -> std::io::Result<LineRead> {
-    loop {
-        let chunk = match reader.fill_buf() {
-            Ok([]) => return Ok(LineRead::Eof),
-            Ok(chunk) => chunk,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    return Ok(LineRead::Closed);
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        let (consume, complete) = match chunk.iter().position(|&b| b == b'\n') {
-            Some(i) => (i + 1, true),
-            None => (chunk.len(), false),
-        };
-        if buf.len() + consume > MAX_REQUEST_BYTES {
-            return Ok(LineRead::Closed); // oversized request line
-        }
-        // utk-lint: allow(index) -- invariant: consume <= chunk.len() by construction above
-        buf.extend_from_slice(&chunk[..consume]);
-        reader.consume(consume);
-        if complete {
-            return Ok(LineRead::Line);
-        }
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(LineRead::Closed);
-        }
-    }
-}
-
-/// The write half of a connection: a plain byte sink plus the
-/// half-close hook [`PatientWriter`] pulls when a peer stops taking
-/// bytes. Implemented by [`Stream`] and by test mocks.
-pub(crate) trait StallStream: Write {
-    /// Best-effort shutdown so the peer sees EOF instead of a torn
-    /// line masquerading as a complete response.
-    fn stall_shutdown(&mut self);
-}
-
-impl StallStream for Stream {
-    fn stall_shutdown(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Response writer for the threads transport: resumes partial writes
-/// instead of dropping the connection mid-line.
-///
-/// The underlying stream runs a short per-syscall timeout
-/// ([`POLL`]-sized), so each `write` call returns quickly with either
-/// progress or a timeout kind. A short write is *progress* — the
-/// remainder is retried, so a slow-but-alive reader receives its
-/// whole response where the old `write_all`-under-`SO_SNDTIMEO` path
-/// tore the line. Only a full [`ServerConfig::write_timeout`] window
-/// with **zero** bytes accepted means the peer is gone: the socket is
-/// shut down first (the peer sees EOF mid-line, never a prefix
-/// passing as a complete response), then the connection closes.
-/// `ErrorKind::Interrupted` (EINTR) always retries and never counts
-/// against the stall window.
-pub(crate) struct PatientWriter<S> {
-    stream: S,
-    clock: Arc<dyn Clock>,
-    stall_nanos: u64,
-}
-
-impl<S: StallStream> PatientWriter<S> {
-    pub(crate) fn new(stream: S, clock: Arc<dyn Clock>, write_timeout: Duration) -> Self {
-        PatientWriter {
-            stream,
-            clock,
-            stall_nanos: write_timeout.as_nanos().min(u64::MAX as u128) as u64,
-        }
-    }
-}
-
-impl<S: StallStream> Write for PatientWriter<S> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let mut written = 0usize;
-        let mut stalled_since: Option<u64> = None;
-        while written < buf.len() {
-            let pending = buf.get(written..).unwrap_or(&[]);
-            match self.stream.write(pending) {
-                Ok(0) => {
-                    self.stream.stall_shutdown();
-                    return Err(std::io::ErrorKind::WriteZero.into());
-                }
-                Ok(n) => {
-                    written += n;
-                    stalled_since = None;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    let now = self.clock.now_nanos();
-                    let since = *stalled_since.get_or_insert(now);
-                    if now.saturating_sub(since) >= self.stall_nanos {
-                        self.stream.stall_shutdown();
-                        return Err(e);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(written)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.stream.flush()
-    }
-}
-
-/// Serves one connection: read a request line, write its response
-/// line(s), repeat until EOF, error, or shutdown.
-fn handle_connection(stream: Stream, shared: &Arc<Shared>, write_timeout: Duration) {
-    // Short per-syscall timeouts on both halves: reads poll the
-    // shutdown flag, writes poll for progress (the *stall* bound is
-    // `write_timeout`, enforced by `PatientWriter` across syscalls).
-    if stream.set_read_timeout(Some(POLL)).is_err() || stream.set_write_timeout(Some(POLL)).is_err()
-    {
-        return;
-    }
-    let Ok(writer) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = PatientWriter::new(writer, Arc::clone(&shared.clock), write_timeout);
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let status = match read_request_line(&mut reader, &mut buf, &shared.shutdown) {
-            Ok(LineRead::Closed) | Err(_) => return,
-            Ok(status) => status,
-        };
-        // A final unterminated line (EOF mid-line) is still a
-        // request. Invalid UTF-8 becomes U+FFFD, which
-        // `Request::parse` rejects as a `bad_request` like any other
-        // bad byte.
-        let line = String::from_utf8_lossy(&buf).into_owned();
-        buf.clear();
-        let line = line.trim();
-        if !line.is_empty() && respond(line, shared, &mut writer).is_err() {
-            return;
-        }
-        if matches!(status, LineRead::Eof) || shared.shutting_down() {
-            return;
-        }
-    }
-}
-
-/// Writes one response line. Streaming each line as it is produced —
-/// rather than accumulating a whole batch response in memory — keeps
-/// per-connection response memory at one line on the threads
-/// transport (the evented transport buffers one whole *response*; see
-/// [`crate::reactor`]).
+/// Writes one response line: the text, then its `\n` terminator.
+/// Responses are rendered into a connection's write buffer, which
+/// holds one whole response at a time (see [`crate::reactor`]).
 pub(crate) fn write_line<W: Write>(writer: &mut W, line: &str) -> std::io::Result<()> {
     writer.write_all(line.as_bytes())?;
     writer.write_all(b"\n")
 }
 
-/// Answers one request line, streaming the response line(s) to
-/// `writer`. An `Err` means the peer stopped taking bytes; the
-/// connection is closed.
-pub(crate) fn respond<W: Write>(
-    line: &str,
-    shared: &Arc<Shared>,
-    writer: &mut W,
-) -> std::io::Result<()> {
-    let started_at = shared.clock.now_nanos();
-    let request = match Request::parse(line) {
-        Ok(req) => req,
-        Err(e) => {
-            shared.count_error(e.code);
-            write_line(writer, &e.to_json())?;
-            return writer.flush();
-        }
-    };
-    let admission = claim_admission(shared, &request);
-    respond_admitted(&request, admission, shared, writer, started_at)
-}
-
-/// The transport-shared back half of [`respond`]: executes a parsed
-/// request whose admission has already been decided, streams its
-/// response line(s), and does every piece of bookkeeping (served /
-/// busy / error counters, latency observation). The evented transport
-/// calls this from executor threads with a slot claimed on the
-/// reactor; the threads transport calls it inline.
+/// Executes a parsed request whose admission has already been decided
+/// by [`claim_admission`], writes its response line(s), and does every
+/// piece of bookkeeping (served / busy / error counters, latency
+/// observation). Executor threads call this for admitted work ops,
+/// with the slot claimed on the reactor; the reactor calls it inline
+/// for control ops and refusals.
 pub(crate) fn respond_admitted<W: Write>(
     request: &Request,
     admission: Result<Option<AdmitSlot>, ProtoError>,
@@ -1283,7 +959,7 @@ fn handle_request<W: Write>(
     slot: Option<AdmitSlot>,
 ) -> Result<(), Handled> {
     // Held (not consumed) so the inflight gauge covers execution on
-    // every arm below, whichever transport called us.
+    // every arm below.
     let _slot = slot;
     match request {
         Request::Load { dataset } => {
@@ -1457,219 +1133,6 @@ fn answer_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
-    use utk_core::obs::TestClock;
-
-    /// A `BufRead` whose `fill_buf` plays back a script of errors and
-    /// byte chunks — the EINTR/timeout injection harness for
-    /// [`read_request_line`].
-    struct ScriptedReader {
-        script: VecDeque<std::io::Result<Vec<u8>>>,
-        current: Vec<u8>,
-    }
-
-    impl ScriptedReader {
-        fn new(script: Vec<std::io::Result<Vec<u8>>>) -> Self {
-            ScriptedReader {
-                script: script.into(),
-                current: Vec::new(),
-            }
-        }
-    }
-
-    impl Read for ScriptedReader {
-        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-            let n = {
-                let chunk = self.fill_buf()?;
-                let n = chunk.len().min(out.len());
-                out[..n].copy_from_slice(&chunk[..n]);
-                n
-            };
-            self.consume(n);
-            Ok(n)
-        }
-    }
-
-    impl BufRead for ScriptedReader {
-        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-            if self.current.is_empty() {
-                match self.script.pop_front() {
-                    Some(Ok(bytes)) => self.current = bytes,
-                    Some(Err(e)) => return Err(e),
-                    None => {} // EOF: empty slice
-                }
-            }
-            Ok(&self.current)
-        }
-
-        fn consume(&mut self, n: usize) {
-            self.current.drain(..n);
-        }
-    }
-
-    fn err(kind: std::io::ErrorKind) -> std::io::Result<Vec<u8>> {
-        Err(kind.into())
-    }
-
-    #[test]
-    fn eintr_is_a_pure_retry_in_read_request_line() {
-        // EINTR between chunks must not kill the connection: the
-        // interrupted reads retry and the complete line arrives.
-        let shutdown = AtomicBool::new(false);
-        let mut reader = ScriptedReader::new(vec![
-            err(std::io::ErrorKind::Interrupted),
-            Ok(b"{\"op\":".to_vec()),
-            err(std::io::ErrorKind::Interrupted),
-            err(std::io::ErrorKind::Interrupted),
-            Ok(b"\"stats\"}\n".to_vec()),
-        ]);
-        let mut buf = Vec::new();
-        let status = read_request_line(&mut reader, &mut buf, &shutdown).expect("line");
-        assert!(matches!(status, LineRead::Line));
-        assert_eq!(buf, b"{\"op\":\"stats\"}\n");
-
-        // And EINTR is not a poll tick: unlike WouldBlock (see the
-        // companion test), an interrupted read never consults the
-        // shutdown flag — with shutdown already requested it still
-        // retries straight through to the line.
-        let shutdown = AtomicBool::new(true);
-        let mut reader = ScriptedReader::new(vec![
-            err(std::io::ErrorKind::Interrupted),
-            err(std::io::ErrorKind::Interrupted),
-            Ok(b"{\"op\":\"stats\"}\n".to_vec()),
-        ]);
-        let mut buf = Vec::new();
-        let status = read_request_line(&mut reader, &mut buf, &shutdown).expect("line");
-        assert!(matches!(status, LineRead::Line));
-        assert_eq!(buf, b"{\"op\":\"stats\"}\n");
-    }
-
-    #[test]
-    fn timeout_mid_line_closes_only_on_shutdown() {
-        // A WouldBlock *is* a poll tick: with shutdown requested and
-        // the line incomplete, the connection closes...
-        let shutdown = AtomicBool::new(true);
-        let mut reader = ScriptedReader::new(vec![
-            Ok(b"{\"op\":".to_vec()),
-            err(std::io::ErrorKind::WouldBlock),
-        ]);
-        let mut buf = Vec::new();
-        let status = read_request_line(&mut reader, &mut buf, &shutdown).expect("closed");
-        assert!(matches!(status, LineRead::Closed));
-
-        // ...but without shutdown the same timeout just retries.
-        let shutdown = AtomicBool::new(false);
-        let mut reader = ScriptedReader::new(vec![
-            Ok(b"{\"op\":".to_vec()),
-            err(std::io::ErrorKind::TimedOut),
-            Ok(b"\"stats\"}\n".to_vec()),
-        ]);
-        let mut buf = Vec::new();
-        let status = read_request_line(&mut reader, &mut buf, &shutdown).expect("line");
-        assert!(matches!(status, LineRead::Line));
-        assert_eq!(buf, b"{\"op\":\"stats\"}\n");
-    }
-
-    /// A write sink that plays back a script of short writes and
-    /// errors, recording every byte it accepts and every half-close.
-    struct FlakyStream {
-        script: VecDeque<std::io::Result<usize>>,
-        accepted: Vec<u8>,
-        shutdowns: usize,
-    }
-
-    impl FlakyStream {
-        fn new(script: Vec<std::io::Result<usize>>) -> Self {
-            FlakyStream {
-                script: script.into(),
-                accepted: Vec::new(),
-                shutdowns: 0,
-            }
-        }
-    }
-
-    impl Write for FlakyStream {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            match self.script.pop_front() {
-                Some(Ok(n)) => {
-                    let n = n.min(buf.len());
-                    self.accepted.extend_from_slice(&buf[..n]);
-                    Ok(n)
-                }
-                Some(Err(e)) => Err(e),
-                None => {
-                    self.accepted.extend_from_slice(buf);
-                    Ok(buf.len())
-                }
-            }
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    impl StallStream for FlakyStream {
-        fn stall_shutdown(&mut self) {
-            self.shutdowns += 1;
-        }
-    }
-
-    #[test]
-    fn patient_writer_resumes_partial_writes() {
-        // The satellite-1 regression in miniature: short writes and
-        // timeouts interleave, yet the full line arrives untorn — the
-        // writer tracks the written offset and resumes, and timeouts
-        // with *progress* in between never trip the stall bound.
-        let clock = Arc::new(TestClock::new());
-        let stream = FlakyStream::new(vec![
-            Ok(3),
-            Err(std::io::ErrorKind::TimedOut.into()),
-            Ok(4),
-            Err(std::io::ErrorKind::WouldBlock.into()),
-            Ok(2),
-        ]);
-        let mut writer = PatientWriter::new(stream, clock as Arc<dyn Clock>, WRITE_TIMEOUT);
-        writer.write_all(b"0123456789\n").expect("untorn write");
-        assert_eq!(writer.stream.accepted, b"0123456789\n");
-        assert_eq!(writer.stream.shutdowns, 0);
-    }
-
-    #[test]
-    fn patient_writer_retries_eintr_without_consulting_the_clock() {
-        // EINTR is a pure retry: a burst of signals neither counts
-        // against the stall window nor reaches the clock at all.
-        let clock = Arc::new(TestClock::with_step(u64::MAX / 4)); // any read would trip the stall
-        let mut script: Vec<std::io::Result<usize>> = Vec::new();
-        for _ in 0..16 {
-            script.push(Err(std::io::ErrorKind::Interrupted.into()));
-        }
-        let stream = FlakyStream::new(script);
-        let mut writer =
-            PatientWriter::new(stream, clock as Arc<dyn Clock>, Duration::from_nanos(1));
-        writer.write_all(b"{\"ok\":\"stats\"}\n").expect("written");
-        assert_eq!(writer.stream.accepted, b"{\"ok\":\"stats\"}\n");
-        assert_eq!(writer.stream.shutdowns, 0);
-    }
-
-    #[test]
-    fn patient_writer_half_closes_on_a_zero_progress_stall() {
-        // Zero progress for a full write_timeout window: the socket is
-        // shut down FIRST (peer sees EOF, not a torn prefix passing as
-        // a complete response), then the write errors out.
-        let clock = Arc::new(TestClock::with_step(600_000)); // 0.6 ms per read
-        let stream = FlakyStream::new(vec![
-            Err(std::io::ErrorKind::TimedOut.into()),
-            Err(std::io::ErrorKind::TimedOut.into()),
-            Err(std::io::ErrorKind::TimedOut.into()),
-        ]);
-        let mut writer =
-            PatientWriter::new(stream, clock as Arc<dyn Clock>, Duration::from_millis(1));
-        let e = writer.write_all(b"response\n").expect_err("stall");
-        assert_eq!(e.kind(), std::io::ErrorKind::TimedOut);
-        assert_eq!(writer.stream.shutdowns, 1, "half-close precedes the error");
-        assert!(writer.stream.accepted.is_empty());
-    }
 
     #[test]
     fn slow_query_sink_adopts_an_externally_rotated_file() {

@@ -49,7 +49,6 @@ pub const VALUE_FLAGS: &[&str] = &[
     "datasets",
     "socket",
     "port",
-    "transport",
     "max-connections",
     "max-inflight",
     "dataset",

@@ -32,7 +32,7 @@ use utk::prelude::*;
 use utk::report;
 use utk::server::client::{BatchReply, Connection};
 use utk::server::proto::{MetricsFormat, Request, Response};
-use utk::server::server::{Bind, Server, ServerConfig, Transport};
+use utk::server::server::{Bind, Server, ServerConfig};
 use utk::server::spec::{self, build_topk_query, build_utk_query, ParsedArgs};
 use utk::wire;
 
@@ -144,11 +144,8 @@ SERVE (long-running multi-dataset server; newline-delimited JSON protocol):
   --socket <path> | --port <p>   Unix socket or 127.0.0.1 TCP (port 0 = ephemeral)
   --max-inflight <n>    admission limit; excess queries get {\"error\":…,\"code\":\"busy\"}
                         instead of queueing (default 64)
-  --transport <t>       serving front end: evented (default; readiness-driven event
-                        loop, scales past thousands of connections) | threads (one
-                        OS thread per connection — the legacy differential oracle)
   --max-connections <n> connection cap; excess connections get a busy line and close
-                        (default: 4096 evented, 256 threads)
+                        (default 4096)
   --cache-budget <mib>  filter-cache budget SHARED across all dataset engines (default 64)
   --threads <n>         worker-pool size per engine (default: all cores)
   --wal-dir <dir>       crash-safe updates: every mutation is appended + fsynced to
@@ -231,7 +228,6 @@ fn command_flags(command: &str) -> Option<&'static [&'static str]> {
             "datasets",
             "socket",
             "port",
-            "transport",
             "max-connections",
             "max-inflight",
             "cache-budget",
@@ -502,10 +498,6 @@ fn run_serve(args: &ParsedArgs) -> Result<(), String> {
         if config.max_inflight == 0 {
             return Err("--max-inflight must be at least 1".into());
         }
-    }
-    if let Some(label) = args.get("transport") {
-        config.transport =
-            Transport::from_label(label).ok_or("--transport must be one of: evented, threads")?;
     }
     if let Some(n) = args.get("max-connections") {
         config.max_connections = n

@@ -209,6 +209,10 @@ fn malformed_flags_name_the_offender() {
     let (_, stderr, ok) = utk(&["generate", "--n", "10", "--json"]);
     assert!(!ok);
     assert!(stderr.contains("--json"), "stderr: {stderr}");
+    // `serve` has a single transport and no flag to pick one.
+    let (_, stderr, ok) = utk(&["serve", "--transport", "threads"]);
+    assert!(!ok);
+    assert!(stderr.contains("--transport"), "stderr: {stderr}");
 
     // Inverted, NaN, and negative-width regions are errors, not
     // panics.

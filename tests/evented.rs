@@ -1,16 +1,19 @@
-//! Transport-differential tests for the evented serving front end:
-//! byte-identity against the threads transport, connection scaling
-//! past the thread cap, connection-cap accounting under churn, and
-//! the partial-write/stuck-reader connection-I/O contracts — on both
-//! transports, since the threads path is the differential oracle.
+//! Integration tests for the serving front end: the full protocol
+//! surface checked against the same answers computed locally (the
+//! `utk batch` path), connection scaling, connection-cap accounting
+//! under churn, and the partial-write/stuck-reader connection-I/O
+//! contracts over real sockets.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use utk::data::csv::parse_csv;
+use utk::prelude::*;
 use utk::server::client::{BatchReply, Connection};
 use utk::server::proto::Request;
-use utk::server::server::{Bind, Server, ServerConfig, ServerHandle, Transport};
+use utk::server::server::{Bind, Server, ServerConfig, ServerHandle};
+use utk::server::spec;
 use utk_testdir::TestDir;
 
 const HOTELS_CSV: &str = "\
@@ -44,14 +47,9 @@ fn datasets_dir(tag: &str) -> TestDir {
     dir
 }
 
-/// An in-process TCP server on the given transport over `dir`.
-fn spawn(
-    dir: &TestDir,
-    transport: Transport,
-    tweak: impl FnOnce(&mut ServerConfig),
-) -> ServerHandle {
+/// An in-process TCP server over `dir`, one pool worker per engine.
+fn spawn(dir: &TestDir, tweak: impl FnOnce(&mut ServerConfig)) -> ServerHandle {
     let mut config = ServerConfig::new(Bind::Tcp(0), dir.path().to_path_buf());
-    config.transport = transport;
     config.pool_threads = 1;
     tweak(&mut config);
     Server::bind(config).expect("bind").spawn()
@@ -72,8 +70,13 @@ fn shutdown(handle: ServerHandle) {
     handle.join().expect("clean exit");
 }
 
+/// The `query` line [`drive_protocol`] sends.
+const QUERY_LINE: &str = "utk1 --k 2 --lo 0.05,0.05 --hi 0.45,0.25";
+
 /// Drives one connection through the full protocol surface and
-/// returns every response line, in order.
+/// returns every response line, in order: load, query, the batch's
+/// answer lines (the header is consumed by the client), then the
+/// three error lines.
 fn drive_protocol(handle: &ServerHandle) -> Vec<String> {
     let mut conn = Connection::connect(handle.bind_addr()).expect("connect");
     let mut lines = Vec::new();
@@ -83,7 +86,11 @@ fn drive_protocol(handle: &ServerHandle) -> Vec<String> {
     );
     lines.push(
         conn.round_trip(
-            r#"{"op":"query","dataset":"hotels","q":"utk1 --k 2 --lo 0.05,0.05 --hi 0.45,0.25"}"#,
+            &Request::Query {
+                dataset: "hotels".into(),
+                q: QUERY_LINE.into(),
+            }
+            .to_json(),
         )
         .expect("query"),
     );
@@ -104,33 +111,60 @@ fn drive_protocol(handle: &ServerHandle) -> Vec<String> {
     lines
 }
 
-/// Tentpole differential: the full protocol surface — load, query, a
-/// mixed batch, and the typed error paths — produces byte-identical
-/// response lines on both transports.
+/// The full protocol surface — load, query, a mixed batch, and the
+/// typed error paths — answers exactly what the `utk batch` path
+/// computes locally on the same data: the `query` line equals
+/// [`spec::answer_query_line`] and the `batch` lines equal
+/// [`spec::answer_query_file`], run in the same order on an engine
+/// with the server's pool size (`stats` reports it).
 #[test]
-fn transports_produce_byte_identical_responses() {
-    // Same fixture dir for both servers: error lines embed dataset
-    // paths, and those must match byte-for-byte too.
-    let dir = datasets_dir("ident");
-    let threads = spawn(&dir, Transport::Threads, |_| {});
-    let evented = spawn(&dir, Transport::Evented, |_| {});
-    let from_threads = drive_protocol(&threads);
-    let from_evented = drive_protocol(&evented);
-    assert_eq!(
-        from_threads, from_evented,
-        "transports disagree on wire bytes"
+fn served_protocol_matches_local_answers() {
+    let dir = datasets_dir("oracle");
+    let handle = spawn(&dir, |_| {});
+    let served = drive_protocol(&handle);
+    shutdown(handle);
+
+    let data = parse_csv(HOTELS_CSV, "hotels.csv").expect("fixture parses");
+    let engine = UtkEngine::from_slice(&data.dataset.points)
+        .expect("fixture engine")
+        .with_pool_threads(1);
+    let query = spec::answer_query_line(&engine, &data, QUERY_LINE);
+    let batch = spec::answer_query_file(
+        &engine,
+        &data,
+        &spec::parse_query_file(QUERY_FILE, engine.dim()),
     );
-    shutdown(threads);
-    shutdown(evented);
+
+    assert_eq!(served.len(), 2 + batch.len() + 3, "{served:#?}");
+    assert!(
+        served[0].starts_with(r#"{"ok":"load","dataset":"hotels","n":7,"d":3"#),
+        "{}",
+        served[0]
+    );
+    assert_eq!(served[1], query, "served query line");
+    assert_eq!(
+        &served[2..2 + batch.len()],
+        &batch[..],
+        "served batch lines"
+    );
+    let errors = &served[2 + batch.len()..];
+    for (line, code) in errors
+        .iter()
+        .zip(["bad_request", "bad_request", "unknown_dataset"])
+    {
+        assert!(
+            line.contains(&format!(r#""code":"{code}""#)),
+            "expected {code}: {line}"
+        );
+    }
 }
 
-/// Connection scaling: the evented transport holds 300 concurrent
-/// connections — past the threads transport's 256-connection default
-/// — and serves a query on every one of them.
+/// Connection scaling: the server holds 300 concurrent connections
+/// and serves a query on every one of them.
 #[test]
 fn evented_serves_three_hundred_concurrent_connections() {
     let dir = datasets_dir("scale");
-    let handle = spawn(&dir, Transport::Evented, |c| {
+    let handle = spawn(&dir, |c| {
         c.max_inflight = 16;
     });
     let mut conns: Vec<Connection> = (0..300)
@@ -183,10 +217,11 @@ fn read_raw_line(stream: &mut TcpStream) -> String {
 /// never leak a slot toward the cap: after 3×cap churned connections
 /// (instant drops and half-written garbage), the full cap of live
 /// connections still fits — and the cap itself still holds.
-fn cap_survives_connection_churn(tag: &str, transport: Transport) {
+#[test]
+fn cap_survives_connection_churn_on_evented() {
     const CAP: usize = 8;
-    let dir = datasets_dir(tag);
-    let handle = spawn(&dir, transport, |c| {
+    let dir = datasets_dir("churn_evented");
+    let handle = spawn(&dir, |c| {
         c.max_connections = CAP;
     });
     let port = tcp_port(&handle);
@@ -248,16 +283,6 @@ fn cap_survives_connection_churn(tag: &str, transport: Transport) {
     handle.join().expect("clean exit");
 }
 
-#[test]
-fn cap_survives_connection_churn_on_threads() {
-    cap_survives_connection_churn("churn_threads", Transport::Threads);
-}
-
-#[test]
-fn cap_survives_connection_churn_on_evented() {
-    cap_survives_connection_churn("churn_evented", Transport::Evented);
-}
-
 /// A batch big enough that its response (hundreds of KiB) overflows
 /// the socket buffers, forcing the server into partial writes.
 fn big_batch(queries: usize) -> String {
@@ -275,12 +300,13 @@ fn big_batch(queries: usize) -> String {
 /// complete response, byte-for-byte — the server resumes partial
 /// writes after its per-syscall write timeouts instead of tearing the
 /// line and dropping the connection.
-fn throttled_reader_gets_untorn_response(tag: &str, transport: Transport) {
+#[test]
+fn throttled_reader_gets_untorn_response_on_evented() {
     // ~6 MiB of response: past the ~4 MiB the kernel send buffer can
     // absorb (tcp_wmem max), so the server *must* hit partial writes.
     const QUERIES: usize = 40_000;
-    let dir = datasets_dir(tag);
-    let handle = spawn(&dir, transport, |_| {});
+    let dir = datasets_dir("throttle_evented");
+    let handle = spawn(&dir, |_| {});
     let port = tcp_port(&handle);
 
     // The oracle: the same batch read at full speed.
@@ -330,30 +356,21 @@ fn throttled_reader_gets_untorn_response(tag: &str, transport: Transport) {
     shutdown(handle);
 }
 
-#[test]
-fn throttled_reader_gets_untorn_response_on_threads() {
-    throttled_reader_gets_untorn_response("throttle_threads", Transport::Threads);
-}
-
-#[test]
-fn throttled_reader_gets_untorn_response_on_evented() {
-    throttled_reader_gets_untorn_response("throttle_evented", Transport::Evented);
-}
-
 /// The other half of the write contract: a reader that stops reading
 /// *entirely* is disconnected after the zero-progress window — with a
 /// socket shutdown first, so it observes EOF (a detectably incomplete
 /// response: fewer lines than the batch header promised) rather than
 /// hanging the server; the server stays fully responsive throughout
 /// and still drains cleanly.
-fn stuck_reader_is_cut_loose(tag: &str, transport: Transport) {
+#[test]
+fn stuck_reader_is_cut_loose_on_evented() {
     // ~14 MiB of response: far past everything the kernel will buffer
     // for a reader that never reads (sndbuf caps at ~4 MiB and the
     // receive window stays small without reads), so the server's
     // write is guaranteed to stall with zero progress.
     const QUERIES: usize = 100_000;
-    let dir = datasets_dir(tag);
-    let handle = spawn(&dir, transport, |c| {
+    let dir = datasets_dir("stuck_evented");
+    let handle = spawn(&dir, |c| {
         c.write_timeout = Duration::from_millis(300);
     });
     let port = tcp_port(&handle);
@@ -363,11 +380,9 @@ fn stuck_reader_is_cut_loose(tag: &str, transport: Transport) {
     stuck.write_all(b"\n").unwrap();
     // Read nothing. The server fills the socket buffers, stalls with
     // zero progress for the whole window, and cuts the connection.
-    // Wait for the in-process signal that the batch request ended: it
-    // enters `inflight` while executing and leaves when the request
-    // is over — on the threads transport the streaming write can only
-    // end by erroring out (the cut); on the evented transport it
-    // marks compute done. Then ride out the stall window with margin
+    // Wait for the in-process signal that the batch's compute is done:
+    // it enters `inflight` while executing and leaves once the
+    // response is rendered. Then ride out the stall window with margin
     // so the cut has certainly landed before we touch the socket.
     let deadline = Instant::now() + Duration::from_secs(120);
     while handle.snapshot().inflight == 0 {
@@ -420,14 +435,4 @@ fn stuck_reader_is_cut_loose(tag: &str, transport: Transport) {
     handle
         .join()
         .expect("clean exit despite the cut connection");
-}
-
-#[test]
-fn stuck_reader_is_cut_loose_on_threads() {
-    stuck_reader_is_cut_loose("stuck_threads", Transport::Threads);
-}
-
-#[test]
-fn stuck_reader_is_cut_loose_on_evented() {
-    stuck_reader_is_cut_loose("stuck_evented", Transport::Evented);
 }
